@@ -38,6 +38,17 @@ from .signals import as_generator
 _EXP_SWITCH = 700.0
 
 
+def require_finite(name: str, *values) -> None:
+    """Raise ``ValueError`` if any of ``values``, all named ``name``, is NaN or infinite.
+
+    A NaN compares false against every bound, so range checks alone let it
+    through and it surfaces later as a confident-looking wrong number.
+    """
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GuaranteeInputs:
     """Scalar parameter bundle shared by both guarantees."""
@@ -51,6 +62,8 @@ class GuaranteeInputs:
     beta: float
 
     def __post_init__(self):
+        for name in ("mu_max", "s_min", "s_max", "sigma", "beta"):
+            require_finite(name, getattr(self, name))
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.tau < 1:
@@ -282,6 +295,7 @@ def estimate_beta(d: Dictionary, sigma: float, draws: int = 10_000, rng=None) ->
     worst-case estimate.  Scaling is exact: doubling ``sigma`` under the
     same stream exactly doubles the estimate.
     """
+    require_finite("sigma", sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if rng is None:

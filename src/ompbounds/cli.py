@@ -15,6 +15,7 @@ from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
     estimate_beta,
+    require_finite,
     thm1_condition,
     thm1_probability,
     thm2_bound,
@@ -212,6 +213,7 @@ def _cmd_bound(args) -> int:
         beta=args.beta,
     )
     if args.alpha is not None:
+        require_finite("alpha", args.alpha)
         alpha, alpha_note = args.alpha, "given"
     elif g.sigma > 0 and g.beta > 0:
         ab = alpha_from_beta(g.beta, g.sigma, g.n)
@@ -268,6 +270,11 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Each worker is a process and the trials are cut into 4 chunks per
+    # worker, so the count is bounded by the machine, not left to the pool.
+    max_workers = os.cpu_count() or 1
+    if not 1 <= args.workers <= max_workers:
+        raise ValueError(f"--workers must lie in [1, {max_workers}], got {args.workers}")
     raw: dict = {}
     if args.config is not None:
         raw.update(_parse_config_file(args.config))

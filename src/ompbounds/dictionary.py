@@ -2,11 +2,15 @@
 
 The workhorse is the identity-Hadamard concatenation ``A = [I, H/sqrt(m)]``
 (an ``m x 2m`` dictionary whose mutual coherence is exactly ``1/sqrt(m)``).
-Its Hadamard half is never stored: columns are materialized on demand and
-matrix-vector products go through a fast Walsh-Hadamard transform.
+Its Hadamard half is never stored.  Because ``H_m = H_p (x) H_q`` (a
+Kronecker product of two small Sylvester matrices with ``p q = m``), only
+the two factors are kept: atoms are outer products of one row of each, and
+correlations and matrix-vector products are two small BLAS matrix
+products, ``H_p @ X @ H_q`` with ``X`` the vector reshaped to ``(p, q)``.
 Arbitrary dense dictionaries are supported for small-scale experiments.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,27 +26,64 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
+@functools.cache
+def _sylvester(n: int) -> np.ndarray:
+    """Read-only Sylvester Hadamard matrix of order ``n`` (a power of two)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(H_p, H_q)`` with ``H_n = H_p (x) H_q``, ``p = 2^floor(log2(n)/2)``, ``q = n/p``."""
+    if n == 0 or not _is_power_of_two(n):
+        raise ValueError(f"fwht length must be a power of two, got {n}")
+    p = 1 << ((n.bit_length() - 1) // 2)
+    return _sylvester(p), _sylvester(n // p)
+
+
+def _kronecker_apply(
+    x: np.ndarray, hp: np.ndarray, hq: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(hp (x) hq) @ v`` for every length-``p q`` vector ``v`` along the last axis.
+
+    Each vector is viewed as a ``(p, q)`` matrix ``X`` and mapped to
+    ``hp @ X @ hq.T``; the factors used here are symmetric, so ``hq.T`` is
+    ``hq``.  Stacked inputs go through one matrix product per vector, so a
+    row of a batch is computed exactly as it would be alone.  The result
+    has shape ``x.shape[:-1] + (p, q)``; ``out``, if given, must have that
+    shape and receives it.
+    """
+    p, q = hp.shape[0], hq.shape[0]
+    return np.matmul(hp, x.reshape(x.shape[:-1] + (p, q)) @ hq, out=out)
+
+
 def fwht(x: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+    """Unnormalized Walsh-Hadamard transform along the last axis.
 
     Uses the Sylvester (natural) ordering, i.e. ``fwht(x) == H_n @ x`` for
     the recursive construction ``H_2n = [[H_n, H_n], [H_n, -H_n]]``.  The
     transform is an involution up to scale: applying it twice multiplies
-    the input by ``n``.  Runs in O(n log n) per vector.
+    the input by ``n``.
+
+    It is computed Kronecker-factored: with ``H_n = H_p (x) H_q``,
+    ``p = 2^floor(log2(n)/2)`` and ``q = n/p``, each vector reshaped to
+    ``(p, q)`` becomes ``H_p @ X @ H_q``, two BLAS matrix products costing
+    ``O(n^1.5)`` flops per vector.  That is more arithmetic than the
+    ``O(n log n)`` butterfly but far fewer interpreter-level steps.  The
+    sums are taken in another order than the butterfly's, so results may
+    differ from it in the last bits (at most 7.1e-14 at ``n = 1024`` and
+    2.3e-13 at ``n = 4096`` on standard normal input).  They are still
+    deterministic: a given input gives the same bits with one BLAS thread
+    or the default number, and a row of a batch equals the same vector
+    transformed alone, so sweeps stay byte-identical at any worker count.  The factors
+    are built on first use of each ``n`` and cached.
     """
-    a = np.array(x, dtype=np.float64, copy=True, order="C")
-    n = a.shape[-1]
-    if n == 0 or not _is_power_of_two(n):
-        raise ValueError(f"fwht length must be a power of two, got {n}")
-    lead = a.shape[:-1]
-    h = 1
-    while h < n:
-        b = a.reshape(lead + (-1, 2, h))
-        top = b[..., 0, :].copy()
-        b[..., 0, :] = top + b[..., 1, :]
-        b[..., 1, :] = top - b[..., 1, :]
-        h *= 2
-    return a
+    a = np.asarray(x, dtype=np.float64)
+    hp, hq = _kronecker_factors(a.shape[-1])
+    return _kronecker_apply(a, hp, hq).reshape(a.shape)
 
 
 class Dictionary:
@@ -64,6 +105,11 @@ class Dictionary:
         self._mu_max: float | None = None
         if kind == IDENTITY_HADAMARD:
             self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
+            # H_m / sqrt(m) = (H_p / sqrt(m)) (x) H_q: the scale is folded
+            # into the left factor, so every product of factor entries is
+            # exactly +-1/sqrt(m).
+            hp, self._hq = _kronecker_factors(self.m)
+            self._hp_scaled = hp * self._inv_sqrt_m
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "Dictionary":
@@ -96,23 +142,32 @@ class Dictionary:
             e = np.zeros(self.m)
             e[j] = 1.0
             return e
-        e = np.zeros(self.m)
-        e[j - self.m] = 1.0
-        return fwht(e) * self._inv_sqrt_m
+        # Hadamard column j - m = i q + k is row i of the scaled H_p times
+        # row k of H_q, flattened: exact, since each entry is +-1/sqrt(m).
+        i, k = divmod(j - self.m, self._hq.shape[0])
+        return np.multiply.outer(self._hp_scaled[i], self._hq[k]).reshape(self.m)
 
     def correlate_all(self, r: np.ndarray) -> np.ndarray:
         """Inner products of every atom with ``r``: the OMP selection statistic.
 
         ``r`` has shape ``(m,)`` or ``(..., m)`` (applied along the last
-        axis).  For the identity-Hadamard kind the Hadamard half is computed
-        by the fast transform in O(m log m) instead of a dense product.
+        axis).  For the identity-Hadamard kind the Hadamard half is two
+        small Kronecker-factor products per vector, O(m^1.5) flops, written
+        straight into the second half of the result.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape[-1] != self.m:
             raise ValueError(f"vector length {r.shape[-1]} != m={self.m}")
         if self.kind == DENSE:
             return r @ self._matrix
-        return np.concatenate([r, fwht(r) * self._inv_sqrt_m], axis=-1)
+        lead = r.shape[:-1]
+        p, q = self._hp_scaled.shape[0], self._hq.shape[0]
+        # Halves as a leading axis of 2: out[..., 1, :, :] is a basic-index
+        # view, so the product lands in the result without a copy.
+        out = np.empty(lead + (2, p, q))
+        out[..., 0, :, :] = r.reshape(lead + (p, q))
+        _kronecker_apply(r, self._hp_scaled, self._hq, out=out[..., 1, :, :])
+        return out.reshape(lead + (2 * self.m,))
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         """Compute ``A @ s`` for a length-``n`` coefficient vector."""
@@ -121,15 +176,15 @@ class Dictionary:
             raise ValueError(f"coefficient shape {s.shape} != ({self.n},)")
         if self.kind == DENSE:
             return self._matrix @ s
-        return s[: self.m] + fwht(s[self.m :]) * self._inv_sqrt_m
+        hadamard = _kronecker_apply(s[self.m :], self._hp_scaled, self._hq)
+        return s[: self.m] + hadamard.reshape(self.m)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full ``(m, n)`` matrix (intended for small m)."""
         if self.kind == DENSE:
             return self._matrix.copy()
-        # fwht of the identity yields the (symmetric) Hadamard matrix.
-        h = fwht(np.eye(self.m))
-        return np.hstack([np.eye(self.m), h * self._inv_sqrt_m])
+        # Entry-wise the same products as column(), hence bit-identical.
+        return np.hstack([np.eye(self.m), np.kron(self._hp_scaled, self._hq)])
 
     def mutual_coherence(self, method: str = "auto") -> float:
         """Maximum absolute inner product over distinct column pairs.
@@ -155,7 +210,9 @@ def build_identity_hadamard(m: int) -> Dictionary:
     """Build the ``[I, H/sqrt(m)]`` dictionary for power-of-two ``m >= 2``.
 
     Columns ``0..m-1`` are the standard basis; columns ``m..2m-1`` are the
-    Sylvester-ordered Hadamard columns scaled to unit norm.
+    Sylvester-ordered Hadamard columns scaled to unit norm.  The dictionary
+    keeps only the two Kronecker factors of ``H_m`` (at most ``sqrt(2m)``
+    on a side), with ``1/sqrt(m)`` folded into one of them.
     """
     if not isinstance(m, (int, np.integer)) or not _is_power_of_two(int(m)) or m < 2:
         raise ValueError(f"m must be a power of two >= 2, got {m!r}")

@@ -12,13 +12,14 @@ streams when ``beta_draws`` changes.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
+    require_finite,
     thm1_condition,
     thm1_probability,
     thm2_bound,
@@ -59,6 +60,9 @@ class ExperimentConfig:
         vals = tuple(self.sweep_values)
         if not vals:
             raise ValueError("sweep_values must be nonempty")
+        require_finite("sweep_values", *vals)
+        for name in ("s_min", "s_max", "sigma"):
+            require_finite(name, getattr(self, name))
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep_values must be strictly increasing")
         if self.sweep == "tau":
@@ -249,8 +253,3 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int | None = None) -> list[Swee
         if executor is not None:
             executor.shutdown()
     return results
-
-
-def with_param(result: SweepResult, value: float) -> SweepResult:
-    """Copy of ``result`` with ``param_value`` replaced."""
-    return replace(result, param_value=float(value))

@@ -84,8 +84,9 @@ def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") 
     if method != "incremental":
         raise ValueError(f"unknown method {method!r}")
 
-    m = d.m
-    q_basis = np.zeros((m, tau))
+    # The orthonormal basis of the active span, one row per selected atom,
+    # so every projection below is a contiguous matrix-vector product.
+    q_rows = np.zeros((tau, d.m))
     r_factor = np.zeros((tau, tau))
     qty = np.zeros(tau)
     selected = np.zeros(tau, dtype=np.int64)
@@ -93,7 +94,8 @@ def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") 
     history = np.zeros(tau)
 
     for k in range(tau):
-        scores = np.abs(d.correlate_all(residual))
+        scores = d.correlate_all(residual)
+        np.abs(scores, out=scores)
         scores[selected[:k]] = -1.0
         j = int(np.argmax(scores))
         selected[k] = j
@@ -101,10 +103,11 @@ def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") 
         # Orthogonalize the new atom against the active span; one
         # re-orthogonalization pass keeps Q orthonormal to machine precision.
         a = d.column(j)
-        proj = q_basis[:, :k].T @ a
-        q = a - q_basis[:, :k] @ proj
-        corr = q_basis[:, :k].T @ q
-        q -= q_basis[:, :k] @ corr
+        active = q_rows[:k]
+        proj = active @ a
+        q = a - proj @ active
+        corr = active @ q
+        q -= corr @ active
         proj += corr
         norm_q = math.sqrt(float(q @ q))
         if norm_q < RANK_TOL:
@@ -113,7 +116,7 @@ def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") 
 
         r_factor[:k, k] = proj
         r_factor[k, k] = norm_q
-        q_basis[:, k] = q
+        q_rows[k] = q
         coef = float(q @ residual)
         qty[k] = coef
         residual -= coef * q

@@ -1,13 +1,35 @@
-"""Independent extended-precision evaluators used as references in tests.
+"""Independent reference implementations used as oracles in tests.
 
-Everything here is coded directly from the bound definitions in mpmath at
-50 significant digits, without calling the library under test, so any
-agreement is meaningful.
+The bound evaluators are coded directly from the definitions in mpmath at
+50 significant digits, and the Walsh-Hadamard butterfly in plain NumPy,
+without calling the library under test, so any agreement is meaningful.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
+
+
+def fwht_butterfly(x):
+    """Unnormalized Sylvester-ordered Walsh-Hadamard transform, last axis.
+
+    The in-place radix-2 butterfly: log2(n) stages, each replacing every
+    pair ``(a, b)`` at distance ``h`` by ``(a + b, a - b)``.
+    """
+    a = np.array(x, dtype=np.float64, copy=True, order="C")
+    n = a.shape[-1]
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
+    lead = a.shape[:-1]
+    h = 1
+    while h < n:
+        b = a.reshape(lead + (-1, 2, h))
+        top = b[..., 0, :].copy()
+        b[..., 0, :] = top + b[..., 1, :]
+        b[..., 1, :] = top - b[..., 1, :]
+        h *= 2
+    return a
 
 
 def bernstein_oracle(delta, n_terms, nu, c):

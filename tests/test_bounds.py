@@ -29,7 +29,9 @@ from oracles import (
 )
 
 # Pinned on first computation: m=1024, sigma=0.01, draws=1e4, stream (2024, 0).
-BETA_FIXTURE = 0.05340645071101994
+# Re-pinned for the Kronecker-factored transform, whose sums round
+# differently from the butterfly's (which gave 0.05340645071101994).
+BETA_FIXTURE = 0.053406450711019925
 
 
 def _inputs(**kw):
@@ -337,6 +339,10 @@ def test_guarantee_inputs_validation():
         dict(s_min=2.0, s_max=1.0),
         dict(sigma=-1.0),
         dict(beta=-0.1),
+        dict(sigma=math.nan),
+        dict(sigma=math.inf),
+        dict(beta=math.nan),
+        dict(s_max=math.inf),
     ):
         with pytest.raises(ValueError):
             _inputs(**kw)

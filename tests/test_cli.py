@@ -2,12 +2,20 @@ import os
 
 import pytest
 
-from ompbounds import GuaranteeInputs, thm2_bound
+from ompbounds import GuaranteeInputs, cli, thm2_bound
 from ompbounds.cli import CSV_HEADER, main
 
 
 def _lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    return lines[0]
 
 
 def _kv(lines):
@@ -82,6 +90,27 @@ def test_bound_noiseless_lambda_is_one(capsys):
     got = _kv(_lines(capsys))
     assert got["lambda_lb"] == "1.0"
     assert got["alpha"] == "undefined"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--sigma", "nan"), ("--sigma", "inf"), ("--beta", "nan"), ("--alpha", "nan")],
+)
+def test_bound_rejects_non_finite_input(capsys, flag, value):
+    # NaN compares false against every range bound; left unchecked, a NaN
+    # sigma yields thm1_prob=1.0 with exit status 0.
+    argv = list(BOUND_FLAGS)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    assert "must be finite" in _one_line_error(capsys)
+
+
+def test_beta_rejects_nan_sigma(capsys):
+    assert main(["beta", "-m", "16", "--sigma", "nan", "--draws", "10"]) == 1
+    assert "must be finite" in _one_line_error(capsys)
 
 
 def test_bound_missing_flags_usage_error(capsys):
@@ -219,6 +248,44 @@ def test_sweep_plot_script(tmp_path, sweep_config):
     assert os.fspath(out) in text
     for column in ("param_value", "empirical_prob", "thm1_prob", "thm2_prob"):
         assert column in text
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["sigma=nan"],
+        ["sigma_sq=nan"],
+        ["s_max=inf"],
+        ["sweep=sigma", "sweep_values=0.01,nan", "tau=2"],
+        ["sweep=s_min", "sweep_values=nan", "tau=2"],
+    ],
+)
+def test_sweep_rejects_non_finite_input(tmp_path, sweep_config, capsys, overrides):
+    # Left unchecked, a NaN sigma yields a CSV of NaN betas with exit status 0.
+    out = tmp_path / "never.csv"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert "must be finite" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [0, -1, (os.cpu_count() or 1) + 1, 10**6],
+    ids=["zero", "negative", "cpu_count_plus_one", "huge"],
+)
+def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monkeypatch, workers):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_sweep reached with an out-of-range worker count")
+
+    monkeypatch.setattr(cli, "run_sweep", unreachable)
+    out = tmp_path / "never.csv"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--workers", str(workers)]
+    assert main(argv) == 1
+    assert "--workers must lie in [1, " in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_sweep_requires_core_keys(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from ompbounds import Dictionary, build_identity_hadamard, fwht
+from oracles import fwht_butterfly
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -142,6 +143,49 @@ def test_fwht_involution(log2n, seed):
     v = np.random.default_rng(seed).normal(size=n)
     back = fwht(fwht(v))
     np.testing.assert_allclose(back, n * v, rtol=1e-10, atol=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=13),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fwht_matches_butterfly_oracle(log2n, lead, seed):
+    # Odd log2(n) gives unequal Kronecker factors (q = 2p).  Every
+    # output is a signed sum of the n inputs, so each ordering of that sum
+    # lies within n * eps * ||x||_1 of the exact value.
+    n = 2**log2n
+    x = np.random.default_rng(seed).normal(size=lead + (n,))
+    got = fwht(x)
+    assert got.shape == x.shape
+    tol = n * np.finfo(np.float64).eps * np.abs(x).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - fwht_butterfly(x)) <= tol)
+
+
+@pytest.mark.parametrize("m", [2, 8, 2048])
+def test_columns_bit_identical_to_dense(m):
+    d = build_identity_hadamard(m)
+    dense = d.to_dense()
+    for j in range(d.n):
+        assert np.array_equal(d.column(j), dense[:, j]), j
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([(1,), (2,), (5,), (2, 3)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_correlate_batched_equals_row_by_row(log2m, lead, seed):
+    # The Hadamard half is written into a view of the preallocated result;
+    # a reshape that copied would leave that half unwritten.
+    d = build_identity_hadamard(2**log2m)
+    rows = np.random.default_rng(seed).normal(size=lead + (d.m,))
+    batched = d.correlate_all(rows)
+    assert batched.shape == lead + (d.n,)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(batched[idx], d.correlate_all(rows[idx]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,10 @@ def test_run_sweep_sigma_rescales_beta_per_point():
         dict(s_min=0.0),
         dict(sigma=-1.0),
         dict(beta_draws=0),
+        dict(sigma=math.nan),
+        dict(s_max=math.inf),
+        dict(sweep="sigma", sweep_values=(0.01, math.nan)),
+        dict(sweep="s_min", sweep_values=(math.nan,)),
     ],
 )
 def test_config_validation(kw):
