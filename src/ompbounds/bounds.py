@@ -32,21 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .signals import as_generator
+from .signals import as_generator, require_finite
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
-
-
-def require_finite(name: str, *values) -> None:
-    """Raise ``ValueError`` if any of ``values``, all named ``name``, is NaN or infinite.
-
-    A NaN compares false against every bound, so range checks alone let it
-    through and it surfaces later as a confident-looking wrong number.
-    """
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures import BrokenExecutor
+from dataclasses import fields
 
 from .bounds import (
     GuaranteeInputs,
@@ -21,13 +23,14 @@ from .bounds import (
     thm2_bound,
 )
 from .dictionary import build_identity_hadamard
-from .montecarlo import ExperimentConfig, run_sweep
+from .montecarlo import ExperimentConfig, SweepResult, run_sweep
+from .omp import SingularSystemError
 from .signals import RngStream
 
-CSV_HEADER = (
-    "sweep,param_value,M,N,tau,s_min,s_max,sigma,beta,trials,successes,"
-    "empirical_prob,mc_stderr,thm1_condition,thm1_prob,thm2_condition,thm2_prob"
-)
+# A CSV row is the sweep kind, then a SweepResult with the dictionary size
+# after its first field.
+_RESULT_FIELDS = tuple(f.name for f in fields(SweepResult))
+CSV_HEADER = ",".join(("sweep", _RESULT_FIELDS[0], "M", "N") + _RESULT_FIELDS[1:])
 
 CONFIG_KEYS = {
     "m": int,
@@ -43,12 +46,13 @@ CONFIG_KEYS = {
 }
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    # bool is a subclass of int, so it is tested first.
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _parse_config_file(path: str) -> dict:
@@ -143,36 +147,8 @@ def _write_atomic(path: str, text: str) -> None:
 def _sweep_csv(cfg: ExperimentConfig, results) -> str:
     lines = [CSV_HEADER]
     for r in results:
-        tau, s_min, sigma = cfg.tau, cfg.s_min, cfg.sigma
-        if cfg.sweep == "tau":
-            tau = int(r.param_value)
-        elif cfg.sweep == "s_min":
-            s_min = r.param_value
-        else:
-            sigma = r.param_value
-        lines.append(
-            ",".join(
-                [
-                    cfg.sweep,
-                    _fmt(r.param_value),
-                    str(cfg.m),
-                    str(2 * cfg.m),
-                    str(tau),
-                    _fmt(s_min),
-                    _fmt(cfg.s_max),
-                    _fmt(sigma),
-                    _fmt(r.beta),
-                    str(r.trials),
-                    str(r.successes),
-                    _fmt(r.empirical_prob),
-                    _fmt(r.mc_stderr),
-                    _fmt_bool(r.thm1_condition),
-                    _fmt(r.thm1_prob),
-                    _fmt_bool(r.thm2_condition),
-                    _fmt(r.thm2_prob),
-                ]
-            )
-        )
+        values = [_fmt(getattr(r, name)) for name in _RESULT_FIELDS]
+        lines.append(",".join([cfg.sweep, values[0], str(cfg.m), str(2 * cfg.m)] + values[1:]))
     return "\n".join(lines) + "\n"
 
 
@@ -230,11 +206,11 @@ def _cmd_bound(args) -> int:
         prob1 = 0.0
     b = thm2_bound(g, tight_lambda=args.tight_lambda)
 
-    print(f"thm1_condition={_fmt_bool(cond1)}")
+    print(f"thm1_condition={_fmt(cond1)}")
     print(f"thm1_prob={_fmt(prob1)}")
     alpha_text = "undefined" if alpha is None else f"{_fmt(alpha)} ({alpha_note})"
     print(f"alpha={alpha_text}")
-    print(f"thm2_condition={_fmt_bool(b.condition_ok)}")
+    print(f"thm2_condition={_fmt(b.condition_ok)}")
     print(f"thm2_prob={_fmt(b.probability)}")
     for name in (
         "rho",
@@ -263,7 +239,7 @@ def _cmd_beta(args) -> int:
     if args.sigma > 0 and beta > 0:
         ab = alpha_from_beta(beta, args.sigma, d.n)
         print(f"alpha={_fmt(ab.alpha)}")
-        print(f"alpha_valid={_fmt_bool(ab.valid)}")
+        print(f"alpha_valid={_fmt(ab.valid)}")
     else:
         print("alpha=undefined")
     return 0
@@ -347,7 +323,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, SingularSystemError, BrokenExecutor) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

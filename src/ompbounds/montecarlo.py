@@ -2,16 +2,19 @@
 
 A point runs ``trials`` independent trials: draw a sparse signal, add
 noise, run OMP for exactly ``tau`` iterations, and count the trial as a
-success when the recovered support equals the planted one.  Each trial
-owns the stream ``(master_seed, t)`` for ``t = 1..trials`` and the outcome
-is an integer success count, so results are bit-identical regardless of
-execution order or degree of parallelism.  Stream id 0 is reserved for
-the worst-case ``beta`` estimate, which therefore never shifts the trial
-streams when ``beta_draws`` changes.
+success when the recovered support equals the planted one.  Point ``i`` of
+a sweep draws a 64-bit point seed from ``SeedSequence((master_seed, 1 + i))``
+and its trial ``t`` owns the stream ``(point_seed, t)`` for
+``t = 1..trials``; the outcome is an integer success count, so results are
+bit-identical regardless of execution order or degree of parallelism.  The
+worst-case ``beta`` estimate runs on ``(master_seed, 0)``, which no trial
+stream can equal, so ``beta_draws`` never shifts the trials.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +91,25 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One sweep row: empirical success ratio plus both guarantees."""
+    """One sweep point: its parameters, empirical success ratio and both guarantees.
+
+    After ``param_value`` the fields follow the sweep CSV's column order.
+    """
 
     param_value: float
+    tau: int
+    s_min: float
+    s_max: float
+    sigma: float
+    beta: float
+    trials: int
+    successes: int
     empirical_prob: float
     mc_stderr: float
-    thm1_prob: float
-    thm2_prob: float
     thm1_condition: bool
+    thm1_prob: float
     thm2_condition: bool
-    beta: float
-    successes: int
-    trials: int
+    thm2_prob: float
 
 
 def _count_successes(
@@ -111,8 +121,12 @@ def _count_successes(
     master_seed: int,
     t_lo: int,
     t_hi: int,
+    param_value: float,
 ) -> int:
-    """Successes over trials ``t_lo..t_hi-1``, each on its own stream."""
+    """Successes over trials ``t_lo..t_hi-1``, each on its own stream.
+
+    ``param_value`` only labels the error of a singular trial.
+    """
     count = 0
     for t in range(t_lo, t_hi):
         g = RngStream(master_seed, t).generator()
@@ -121,7 +135,7 @@ def _count_successes(
         try:
             result = omp(d, measurement.observed, tau)
         except SingularSystemError as err:
-            raise SingularSystemError(iteration=err.iteration, trial=t) from err
+            raise SingularSystemError(err.iteration, t, master_seed, param_value) from err
         count += support_match(result.support, signal.support)
     return count
 
@@ -137,40 +151,29 @@ def run_point(
     master_seed: int,
     *,
     param_value: float = math.nan,
-    workers: int | None = None,
-    _executor: ProcessPoolExecutor | None = None,
+    pool: Executor | None = None,
 ) -> SweepResult:
     """Monte Carlo estimate at one parameter point, plus both bounds.
 
     ``beta`` is the (externally estimated) worst-case noise correlation;
-    both theoretical columns are evaluated with it.  ``workers > 1``
-    splits the trial range across processes; the success count, and hence
-    every reported number, is identical for any worker count.
+    both theoretical columns are evaluated with it.  Given a ``pool``, the
+    trial range is cut into chunks that run on it; the success count, and
+    hence every reported number, is identical with or without one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if _executor is not None or (workers is not None and workers > 1):
-        owned = None
-        ex = _executor
-        if ex is None:
-            owned = ProcessPoolExecutor(max_workers=workers)
-            ex = owned
-        try:
-            n_chunks = max(1, getattr(ex, "_max_workers", 1) * 4)
-            bounds_idx = np.linspace(1, trials + 1, min(n_chunks, trials) + 1, dtype=int)
-            futures = [
-                ex.submit(
-                    _count_successes, d, tau, s_min, s_max, sigma, master_seed, lo, hi
-                )
-                for lo, hi in zip(bounds_idx[:-1], bounds_idx[1:])
-                if hi > lo
-            ]
-            successes = sum(f.result() for f in futures)
-        finally:
-            if owned is not None:
-                owned.shutdown()
+    args = (d, tau, s_min, s_max, sigma, master_seed)
+    if pool is None:
+        successes = _count_successes(*args, 1, trials + 1, param_value)
     else:
-        successes = _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1)
+        # Four chunks per core keep the workers busy to the end of a point.
+        n_chunks = min(4 * (os.cpu_count() or 1), trials)
+        edges = np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()
+        futures = [
+            pool.submit(_count_successes, *args, lo, hi, param_value)
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        successes = sum(f.result() for f in futures)
 
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -194,15 +197,19 @@ def run_point(
         prob1 = thm1_probability(g, ab.alpha) if ab.valid else 0.0
     return SweepResult(
         param_value=float(param_value),
+        tau=int(tau),
+        s_min=float(s_min),
+        s_max=float(s_max),
+        sigma=float(sigma),
+        beta=float(beta),
+        trials=trials,
+        successes=successes,
         empirical_prob=p_hat,
         mc_stderr=stderr,
-        thm1_prob=prob1,
-        thm2_prob=breakdown.probability,
         thm1_condition=cond1,
+        thm1_prob=prob1,
         thm2_condition=breakdown.condition_ok,
-        beta=beta,
-        successes=successes,
-        trials=trials,
+        thm2_prob=breakdown.probability,
     )
 
 
@@ -212,21 +219,19 @@ def _point_master_seed(master_seed: int, point_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def run_sweep(cfg: ExperimentConfig, *, workers: int | None = None) -> list[SweepResult]:
+def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     """Run one point per sweep value; deterministic given ``master_seed``.
 
     ``beta`` comes from a single worst-case pass on stream
     ``(master_seed, 0)``; it scales exactly linearly in ``sigma``, so a
     sigma sweep re-estimates it per point while other sweeps share one
-    value.
+    value.  ``workers > 1`` runs the trials on one process pool shared by
+    every point.
     """
     d = build_identity_hadamard(cfg.m)
     unit_max = unit_correlation_max(d, cfg.beta_draws, RngStream(cfg.master_seed, 0))
     results = []
-    executor = None
-    if workers is not None and workers > 1:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    try:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for i, value in enumerate(cfg.sweep_values):
             tau, s_min, sigma = cfg.tau, cfg.s_min, cfg.sigma
             if cfg.sweep == "tau":
@@ -246,10 +251,7 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int | None = None) -> list[Swee
                     sigma * unit_max,
                     _point_master_seed(cfg.master_seed, i),
                     param_value=float(value),
-                    _executor=executor,
+                    pool=pool,
                 )
             )
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return results

@@ -24,17 +24,32 @@ ENUMERATION_LIMIT = 10**6
 
 
 class SingularSystemError(RuntimeError):
-    """Active set became numerically rank deficient at ``iteration`` (1-based)."""
+    """Active set became numerically rank deficient at ``iteration`` (1-based).
 
-    def __init__(self, iteration: int, trial: int | None = None):
+    A Monte Carlo point also names where: the sweep value ``param_value``
+    and the trial, which replays alone on stream ``(seed, trial)``.
+    """
+
+    def __init__(
+        self,
+        iteration: int,
+        trial: int | None = None,
+        seed: int | None = None,
+        param_value: float | None = None,
+    ):
         self.iteration = iteration
         self.trial = trial
-        super().__init__(iteration, trial)
+        self.seed = seed
+        self.param_value = param_value
+        # Pickling rebuilds the error from ``args``, so every field goes there
+        # for the error to survive the trip back from a worker process.
+        super().__init__(iteration, trial, seed, param_value)
 
     def __str__(self):
         msg = f"active set numerically singular at iteration {self.iteration}"
         if self.trial is not None:
-            msg = f"trial {self.trial}: {msg}"
+            stream = f"stream ({self.seed}, {self.trial})"
+            msg = f"sweep value {self.param_value!r}, trial {self.trial} on {stream}: {msg}"
         return msg
 
 
@@ -68,21 +83,15 @@ def _check_tau_y(d: Dictionary, y: np.ndarray, tau: int) -> np.ndarray:
     return y
 
 
-def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") -> OmpResult:
+def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     """Orthogonal matching pursuit for exactly ``tau`` iterations.
 
     Each iteration picks ``argmax_j |<A_j, r>|`` over unselected atoms
     (ties broken by lowest index), then re-solves least squares over all
-    selected atoms.  ``method="incremental"`` maintains a QR factorization
-    of the active set, updated one column per iteration; ``method="direct"``
-    re-solves from scratch every iteration and exists as a slow reference,
-    the two agree to 1e-10.
+    selected atoms through a QR factorization of the active set, updated
+    one column per iteration.
     """
     y = _check_tau_y(d, y, tau)
-    if method == "direct":
-        return _omp_direct(d, y, tau)
-    if method != "incremental":
-        raise ValueError(f"unknown method {method!r}")
 
     # The orthonormal basis of the active span, one row per selected atom,
     # so every projection below is a contiguous matrix-vector product.
@@ -125,35 +134,6 @@ def omp(d: Dictionary, y: np.ndarray, tau: int, *, method: str = "incremental") 
     coefficients = np.linalg.solve(r_factor, qty)
     return OmpResult(
         support=selected,
-        coefficients=coefficients,
-        residual_norm=float(history[-1]),
-        iterations=tau,
-        residual_norms=history,
-    )
-
-
-def _omp_direct(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
-    selected: list[int] = []
-    residual = y.copy()
-    history = np.zeros(tau)
-    coefficients = np.zeros(0)
-    for k in range(tau):
-        scores = np.abs(d.correlate_all(residual))
-        scores[selected] = -1.0
-        j = int(np.argmax(scores))
-        a = d.column(j)
-        if selected:
-            active = np.column_stack([d.column(i) for i in selected])
-            fit, *_ = np.linalg.lstsq(active, a, rcond=None)
-            if math.sqrt(float(np.sum((a - active @ fit) ** 2))) < RANK_TOL:
-                raise SingularSystemError(iteration=k + 1)
-        selected.append(j)
-        active = np.column_stack([d.column(i) for i in selected])
-        coefficients, *_ = np.linalg.lstsq(active, y, rcond=None)
-        residual = y - active @ coefficients
-        history[k] = math.sqrt(float(residual @ residual))
-    return OmpResult(
-        support=np.array(selected, dtype=np.int64),
         coefficients=coefficients,
         residual_norm=float(history[-1]),
         iterations=tau,

@@ -7,11 +7,23 @@ deviation ``sigma``.  All randomness flows through :class:`RngStream`
 handles so that trials are reproducible and independent of scheduling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import Dictionary
+
+
+def require_finite(name: str, *values) -> None:
+    """Raise ``ValueError`` if any of ``values``, all named ``name``, is NaN or infinite.
+
+    A NaN compares false against every bound, so range checks alone let it
+    through and it surfaces later as a confident-looking wrong number.
+    """
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,8 @@ class SparseSignal:
     s_max: float
 
     def __post_init__(self):
+        require_finite("s_min", self.s_min)
+        require_finite("s_max", self.s_max)
         if not 0.0 < self.s_min <= self.s_max:
             raise ValueError(f"need 0 < s_min <= s_max, got {self.s_min}, {self.s_max}")
         if len(set(self.support.tolist())) != len(self.support):
@@ -97,6 +111,8 @@ def draw_sparse_signal(rng, n: int, tau: int, s_min: float, s_max: float) -> Spa
     Draw order is fixed (support, then magnitudes, then signs) so a given
     stream always produces the same signal.
     """
+    require_finite("s_min", s_min)
+    require_finite("s_max", s_max)
     if not 0.0 < s_min <= s_max:
         raise ValueError(f"need 0 < s_min <= s_max, got {s_min}, {s_max}")
     g = as_generator(rng)

@@ -3,10 +3,17 @@
 The bound evaluators are coded directly from the definitions in mpmath at
 50 significant digits, and the Walsh-Hadamard butterfly in plain NumPy,
 without calling the library under test, so any agreement is meaningful.
+The OMP reference shares only the dictionary's correlations and atoms with
+the library; it re-solves least squares from scratch every iteration.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
+
+from ompbounds import OmpResult, SingularSystemError
+from ompbounds.omp import RANK_TOL
 
 mp.mp.dps = 50
 
@@ -30,6 +37,40 @@ def fwht_butterfly(x):
         b[..., 1, :] = top - b[..., 1, :]
         h *= 2
     return a
+
+
+def omp_direct(d, y, tau):
+    """OMP that re-solves least squares over the whole active set each iteration.
+
+    The slow reference for ``ompbounds.omp``: same selection rule, same
+    ``RANK_TOL`` singularity test, no factorization carried between steps.
+    """
+    selected: list[int] = []
+    residual = y.copy()
+    history = np.zeros(tau)
+    coefficients = np.zeros(0)
+    for k in range(tau):
+        scores = np.abs(d.correlate_all(residual))
+        scores[selected] = -1.0
+        j = int(np.argmax(scores))
+        a = d.column(j)
+        if selected:
+            active = np.column_stack([d.column(i) for i in selected])
+            fit, *_ = np.linalg.lstsq(active, a, rcond=None)
+            if math.sqrt(float(np.sum((a - active @ fit) ** 2))) < RANK_TOL:
+                raise SingularSystemError(iteration=k + 1)
+        selected.append(j)
+        active = np.column_stack([d.column(i) for i in selected])
+        coefficients, *_ = np.linalg.lstsq(active, y, rcond=None)
+        residual = y - active @ coefficients
+        history[k] = math.sqrt(float(residual @ residual))
+    return OmpResult(
+        support=np.array(selected, dtype=np.int64),
+        coefficients=coefficients,
+        residual_norm=float(history[-1]),
+        iterations=tau,
+        residual_norms=history,
+    )
 
 
 def bernstein_oracle(delta, n_terms, nu, c):

@@ -1,9 +1,13 @@
+import csv
+import io
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from ompbounds import GuaranteeInputs, cli, thm2_bound
+from ompbounds import GuaranteeInputs, build_identity_hadamard, cli, run_point, thm2_bound
 from ompbounds.cli import CSV_HEADER, main
+from ompbounds.montecarlo import _point_master_seed
 
 
 def _lines(capsys):
@@ -169,12 +173,49 @@ def test_sweep_writes_csv_with_exact_header(tmp_path, sweep_config):
     assert first["thm1_condition"] in ("true", "false")
 
 
-def test_sweep_byte_identical_across_runs_and_workers(tmp_path, sweep_config):
+# --set overrides that turn the tau fixture into each sweep kind.
+KIND_OVERRIDES = {
+    "tau": [],
+    "s_min": ["sweep=s_min", "sweep_values=0.1,0.3,0.5", "tau=2"],
+    "sigma": ["sweep=sigma", "sweep_values=0,0.01,0.05", "tau=2"],
+}
+
+
+def _sweep_argv(config, overrides):
+    argv = ["sweep", "--config", str(config), "--seed", "9"]
+    for item in overrides:
+        argv += ["--set", item]
+    return argv
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
+def test_sweep_byte_identical_across_runs_and_workers(tmp_path, sweep_config, kind):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["sweep", "--config", str(sweep_config), "--seed", "9"]
+    base = _sweep_argv(sweep_config, KIND_OVERRIDES[kind])
     assert main(base + ["--out", str(out1), "--workers", "1"]) == 0
     assert main(base + ["--out", str(out2), "--workers", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
+def test_sweep_csv_schema(tmp_path, sweep_config, kind):
+    # The header is built from SweepResult's fields, so pin it literally.
+    assert CSV_HEADER == (
+        "sweep,param_value,M,N,tau,s_min,s_max,sigma,beta,trials,successes,"
+        "empirical_prob,mc_stderr,thm1_condition,thm1_prob,thm2_condition,thm2_prob"
+    )
+    out = tmp_path / "r.csv"
+    assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    fixed = {"tau": "2", "s_min": "0.5", "sigma": "0.02"}
+    for row in rows:
+        assert (row["sweep"], row["M"], row["N"], row["s_max"]) == (kind, "32", "64", "1.0")
+        assert float(row[kind]) == float(row["param_value"])
+        assert row["tau"].isdigit()
+        for name, value in fixed.items():
+            if name != kind:
+                assert row[name] == value, name
+    assert [float(r["param_value"]) for r in rows] == sorted({float(r[kind]) for r in rows})
 
 
 def test_sweep_overrides_and_sigma_sq_alias(tmp_path, sweep_config):
@@ -293,3 +334,67 @@ def test_sweep_requires_core_keys(tmp_path, capsys):
     code = main(["sweep", "--set", "m=16", "--out", str(out)])
     assert code == 1
     assert "missing required config key" in capsys.readouterr().err
+
+
+# At seed 0 the first singular trial of this m=4 point is 12, which also
+# lies in the first of the pool's chunks.
+SINGULAR_SWEEP = [
+    "m=4", "sweep=tau", "sweep_values=4", "s_min=0.5", "s_max=1", "sigma=0",
+    "trials=300", "beta_draws=10",
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_singular_trial_is_one_line(tmp_path, capsys, workers):
+    out = tmp_path / "never.csv"
+    argv = ["sweep", "--out", str(out), "--workers", str(workers), "--seed", "0"]
+    for item in SINGULAR_SWEEP:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    line = _one_line_error(capsys)
+    seed = _point_master_seed(0, 0)
+    assert f"sweep value 4.0, trial 12 on stream ({seed}, 12): " in line
+    assert "singular at iteration" in line
+    assert not out.exists()
+
+
+def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    out = tmp_path / "never.csv"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--workers", "1"]
+    assert main(argv) == 1
+    assert "terminated abruptly" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", [1, 3, 5])
+@pytest.mark.parametrize(
+    "sigma,beta",
+    [(0.0, 0.0), (0.0, 0.05), (0.01, 0.02), (0.01, 0.05), (0.01, 0.2), (0.01, 0.0)],
+    ids=["noiseless", "noiseless_beta", "alpha_invalid", "alpha_valid", "alpha_large", "beta_zero"],
+)
+def test_thm1_same_in_sweep_point_and_bound(capsys, tau, sigma, beta):
+    # run_point and `ompbounds bound` each evaluate thm1; pin them together.
+    # At n=128 the derived alpha is positive iff beta > 3.11 sigma; the
+    # condition fails for tau=5 always and for tau=3 at beta=0.2.
+    d = build_identity_hadamard(64)
+    argv = [
+        "bound", "--n", "128", "--tau", str(tau), "--mu-max", repr(d.mutual_coherence()),
+        "--s-min", "0.5", "--s-max", "1", "--sigma", repr(sigma), "--beta", repr(beta),
+    ]
+    if sigma > 0 and beta == 0:
+        # Noise with no correlation bound: both refuse the point.
+        with pytest.raises(ValueError):
+            run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
+        assert main(argv) == 1
+        return
+    r = run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
+    assert main(argv) == 0
+    got = _kv(_lines(capsys))
+    assert (got["thm1_condition"], float(got["thm1_prob"])) == (
+        "true" if r.thm1_condition else "false",
+        r.thm1_prob,
+    )

@@ -1,4 +1,6 @@
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,7 +43,8 @@ def test_parallel_and_serial_results_identical():
     d = build_identity_hadamard(32)
     kwargs = dict(param_value=3.0)
     serial = run_point(d, 3, 0.5, 1.0, 0.02, 120, 0.08, 7, **kwargs)
-    parallel = run_point(d, 3, 0.5, 1.0, 0.02, 120, 0.08, 7, workers=2, **kwargs)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        parallel = run_point(d, 3, 0.5, 1.0, 0.02, 120, 0.08, 7, pool=pool, **kwargs)
     assert serial == parallel
 
 
@@ -140,3 +143,9 @@ def test_singular_system_reports_trial():
     assert exc.value.trial is not None and exc.value.trial >= 1
     assert exc.value.iteration == 2
     assert "trial" in str(exc.value)
+    # The error names the point and the stream that replays the trial, and
+    # keeps both through a pickle round trip (the way back from a worker).
+    assert (exc.value.seed, exc.value.param_value) == (0, 2.0)
+    assert f"stream (0, {exc.value.trial})" in str(exc.value)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert str(back) == str(exc.value)

@@ -18,6 +18,7 @@ from ompbounds import (
     support_match,
     synthesize,
 )
+from oracles import omp_direct
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
 NOISELESS_TAU = {8: 1, 16: 2, 32: 3, 64: 4}
@@ -93,7 +94,7 @@ def test_incremental_agrees_with_direct():
     for seed in range(10):
         d, s, meas = _planted(16, 6, 100 + seed, sigma=0.1)
         fast = omp(d, meas.observed, 6)
-        slow = omp(d, meas.observed, 6, method="direct")
+        slow = omp_direct(d, meas.observed, 6)
         assert fast.support.tolist() == slow.support.tolist()
         np.testing.assert_allclose(fast.coefficients, slow.coefficients, atol=1e-10)
         assert fast.residual_norm == pytest.approx(slow.residual_norm, abs=1e-10)
@@ -136,7 +137,7 @@ def test_direct_method_detects_singular_set_too():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     d = Dictionary.from_matrix(a)
     with pytest.raises(SingularSystemError):
-        omp(d, np.array([1.0, 0.0]), 2, method="direct")
+        omp_direct(d, np.array([1.0, 0.0]), 2)
 
 
 def test_exhaustive_planted_noiseless():

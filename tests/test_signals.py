@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -95,10 +96,19 @@ def test_signal_dynamic_range_always_respected():
         assert not off.any()
 
 
-@pytest.mark.parametrize("s_min,s_max", [(0.0, 1.0), (-0.5, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize(
+    "s_min,s_max",
+    [(0.0, 1.0), (-0.5, 1.0), (2.0, 1.0), (0.5, math.inf), (math.nan, 1.0)],
+)
 def test_signal_rejects_bad_range(s_min, s_max):
+    # An infinite s_max passes the range check; unchecked, the draw overflows
+    # inside numpy and a hand-built signal is accepted.
     with pytest.raises(ValueError):
         draw_sparse_signal(RngStream(0, 0), 10, 2, s_min, s_max)
+    with pytest.raises(ValueError):
+        SparseSignal(
+            values=np.zeros(10), support=np.array([], dtype=np.int64), s_min=s_min, s_max=s_max
+        )
 
 
 def test_synthesize_noiseless_identity_column():
