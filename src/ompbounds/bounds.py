@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .signals import as_generator, require_finite
+from .signals import as_generator, check_magnitudes, check_sigma, require_finite
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
@@ -51,18 +51,16 @@ class GuaranteeInputs:
     beta: float
 
     def __post_init__(self):
-        for name in ("mu_max", "s_min", "s_max", "sigma", "beta"):
-            require_finite(name, getattr(self, name))
+        require_finite("mu_max", self.mu_max)
+        require_finite("beta", self.beta)
+        check_magnitudes(self.s_min, self.s_max)
+        check_sigma(self.sigma)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if not 0.0 < self.mu_max < 1.0:
             raise ValueError(f"mu_max must lie in (0, 1), got {self.mu_max}")
-        if not 0.0 < self.s_min <= self.s_max:
-            raise ValueError(f"need 0 < s_min <= s_max, got {self.s_min}, {self.s_max}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
@@ -114,6 +112,9 @@ def bernstein_tail(delta: float, n_terms: int, nu: float, c: float) -> float:
 
         Pr{ |sum x| >= delta } <= 2 exp(-delta^2 / (2 (n_terms nu + c delta / 3)))
     """
+    require_finite("delta", delta)
+    require_finite("nu", nu)
+    require_finite("c", c)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if nu < 0 or c < 0 or (nu == 0 and c == 0):
@@ -136,6 +137,8 @@ def lemma1_tail(xi: float, beta: float, n_terms: int, nu: float, c: float) -> fl
     with ``nu`` and ``c`` bounding the per-term second moment and magnitude
     as in :func:`bernstein_tail`.  ``xi == beta`` yields the vacuous bound 1.
     """
+    require_finite("xi", xi)
+    require_finite("beta", beta)
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if xi < beta:
@@ -157,6 +160,7 @@ def thm1_probability(g: GuaranteeInputs, alpha: float) -> float:
     condition holds and 0 otherwise (a failed condition gives no guarantee,
     reported as zero success probability).
     """
+    require_finite("alpha", alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not thm1_condition(g):
@@ -237,6 +241,8 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
     raised: the caller decides whether the sharp-condition guarantee is
     usable.
     """
+    require_finite("beta", beta)
+    require_finite("sigma", sigma)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if sigma <= 0:
@@ -249,10 +255,10 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
 
 def beta_from_alpha(alpha: float, sigma: float, n: int) -> float:
     """Forward map ``beta = sigma sqrt(2 (1 + alpha) log n)``."""
+    require_finite("alpha", alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_sigma(sigma)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return sigma * math.sqrt(2.0 * (1.0 + alpha) * math.log(n))
@@ -284,9 +290,7 @@ def estimate_beta(d: Dictionary, sigma: float, draws: int = 10_000, rng=None) ->
     worst-case estimate.  Scaling is exact: doubling ``sigma`` under the
     same stream exactly doubles the estimate.
     """
-    require_finite("sigma", sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_sigma(sigma)
     if rng is None:
         raise ValueError("an RngStream or Generator is required")
     return sigma * unit_correlation_max(d, draws, rng)

@@ -11,7 +11,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import BrokenExecutor
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .bounds import (
     GuaranteeInputs,
@@ -23,7 +23,7 @@ from .bounds import (
     thm2_bound,
 )
 from .dictionary import build_identity_hadamard
-from .montecarlo import ExperimentConfig, SweepResult, run_sweep
+from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep
 from .omp import SingularSystemError
 from .signals import RngStream
 
@@ -32,18 +32,10 @@ from .signals import RngStream
 _RESULT_FIELDS = tuple(f.name for f in fields(SweepResult))
 CSV_HEADER = ",".join(("sweep", _RESULT_FIELDS[0], "M", "N") + _RESULT_FIELDS[1:])
 
-CONFIG_KEYS = {
-    "m": int,
-    "sweep": str,
-    "sweep_values": str,
-    "tau": int,
-    "s_min": float,
-    "s_max": float,
-    "sigma": float,
-    "sigma_sq": float,
-    "trials": int,
-    "beta_draws": int,
-}
+# Config keys are ExperimentConfig's fields with their declared types (the
+# seed comes from --seed), plus sigma_sq, which sets sigma from a variance.
+CONFIG_KEYS = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "master_seed"}
+CONFIG_KEYS["sigma_sq"] = float
 
 
 def _fmt(x) -> str:
@@ -69,13 +61,21 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+def _parse(key: str, kind: type, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {kind.__name__}, got {text!r}") from None
+
+
 def _coerce_config(raw: dict, override_keys: frozenset = frozenset()) -> dict:
+    """Typed values of the text ``raw``; ``sweep_values`` stays text until the sweep is known."""
     out = {}
     for key, val in raw.items():
         if key not in CONFIG_KEYS:
             known = ", ".join(sorted(CONFIG_KEYS))
             raise ValueError(f"unknown config key {key!r} (known keys: {known})")
-        out[key] = CONFIG_KEYS[key](val) if not isinstance(val, CONFIG_KEYS[key]) else val
+        out[key] = val if key == "sweep_values" else _parse(key, CONFIG_KEYS[key], val)
     if "sigma" in out and "sigma_sq" in out:
         # The aliases name one knob, so an override of either supersedes
         # the file's value of the other; same-source duplicates conflict.
@@ -92,49 +92,29 @@ def _coerce_config(raw: dict, override_keys: frozenset = frozenset()) -> dict:
 
 def _build_experiment(raw: dict, seed: int, override_keys: frozenset = frozenset()) -> ExperimentConfig:
     cfg = _coerce_config(raw, override_keys)
-    for key in ("m", "sweep", "sweep_values"):
-        if key not in cfg:
-            raise ValueError(f"missing required config key {key!r}")
-    sweep = cfg["sweep"]
-    tokens = [t for t in cfg["sweep_values"].split(",") if t.strip()]
-    if sweep == "tau":
-        values = tuple(int(t) for t in tokens)
-    else:
-        values = tuple(float(t) for t in tokens)
-    # The swept parameter needs no separate fixed value; default it to the
-    # first sweep point.  Everything else must be given explicitly.
-    defaults = {}
-    if sweep == "tau":
-        defaults["tau"] = int(values[0]) if values else None
-    elif sweep == "s_min":
-        defaults["s_min"] = float(values[0]) if values else None
-    elif sweep == "sigma":
-        defaults["sigma"] = float(values[0]) if values else None
-    for key in ("tau", "s_min", "s_max", "sigma"):
-        if key not in cfg:
-            if key in defaults and defaults[key] is not None:
-                cfg[key] = defaults[key]
-            else:
-                raise ValueError(f"missing required config key {key!r}")
-    return ExperimentConfig(
-        m=cfg["m"],
-        sweep=sweep,
-        sweep_values=values,
-        tau=cfg["tau"],
-        s_min=cfg["s_min"],
-        s_max=cfg["s_max"],
-        sigma=cfg["sigma"],
-        trials=cfg.get("trials", 5000),
-        beta_draws=cfg.get("beta_draws", 10_000),
-        master_seed=seed,
-    )
+    sweep = cfg.get("sweep")
+    if sweep in SWEEP_KINDS and "sweep_values" in cfg:
+        tokens = [t for t in cfg["sweep_values"].split(",") if t.strip()]
+        values = tuple(_parse("sweep_values", CONFIG_KEYS[sweep], t) for t in tokens)
+        cfg["sweep_values"] = values
+        # The swept field needs no fixed value of its own; it defaults to the
+        # first sweep value (ExperimentConfig rejects an empty list).
+        cfg.setdefault(sweep, values[0] if values else None)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in cfg:
+            raise ValueError(f"missing required config key {f.name!r}")
+    return ExperimentConfig(**cfg, master_seed=seed)
 
 
 def _write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory plus rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ompbounds-", suffix=".tmp")
+    # mkstemp creates the file as 0600; give it the mode open(path, "w") would.
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -322,6 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, SingularSystemError, BrokenExecutor) as err:
         print(f"error: {err}", file=sys.stderr)

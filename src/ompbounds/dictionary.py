@@ -186,20 +186,17 @@ class Dictionary:
         # Entry-wise the same products as column(), hence bit-identical.
         return np.hstack([np.eye(self.m), np.kron(self._hp_scaled, self._hq)])
 
-    def mutual_coherence(self, method: str = "auto") -> float:
+    def mutual_coherence(self) -> float:
         """Maximum absolute inner product over distinct column pairs.
 
-        ``method="auto"`` uses the closed form ``1/sqrt(m)`` for the
-        identity-Hadamard kind and brute force otherwise;
-        ``method="brute"`` forces the O(m n^2) pairwise scan on either kind.
+        The identity-Hadamard kind uses the closed form ``1/sqrt(m)``; a
+        dense dictionary is scanned pairwise, O(m n^2), once.
         """
         if self.n < 2:
             raise ValueError("mutual coherence needs at least two columns")
-        if method not in ("auto", "brute"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "auto" and self.kind == IDENTITY_HADAMARD:
+        if self.kind == IDENTITY_HADAMARD:
             return self._inv_sqrt_m
-        if self._mu_max is None or method == "brute":
+        if self._mu_max is None:
             g = np.abs(self.to_dense().T @ self.to_dense())
             np.fill_diagonal(g, 0.0)
             self._mu_max = float(g.max())

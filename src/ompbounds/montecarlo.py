@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .dictionary import Dictionary, build_identity_hadamard
 from .omp import SingularSystemError, omp, support_match
-from .signals import RngStream, draw_sparse_signal, synthesize
+from .signals import RngStream, check_magnitudes, check_sigma, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
 
@@ -39,9 +39,11 @@ SWEEP_KINDS = ("tau", "s_min", "sigma")
 class ExperimentConfig:
     """One sweep: vary ``sweep`` over ``sweep_values``, fix the rest.
 
-    ``sigma`` is the noise standard deviation throughout (variances from
-    experiment write-ups must be square-rooted; the CLI accepts a
-    ``sigma_sq`` alias that does the conversion).
+    Each name in ``SWEEP_KINDS`` is the field that a sweep value replaces;
+    :meth:`point` does the replacement.  ``sigma`` is the noise standard
+    deviation throughout (variances from experiment write-ups must be
+    square-rooted; the CLI accepts a ``sigma_sq`` alias that does the
+    conversion).
     """
 
     m: int
@@ -64,29 +66,27 @@ class ExperimentConfig:
         if not vals:
             raise ValueError("sweep_values must be nonempty")
         require_finite("sweep_values", *vals)
-        for name in ("s_min", "s_max", "sigma"):
-            require_finite(name, getattr(self, name))
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep_values must be strictly increasing")
-        if self.sweep == "tau":
-            if any(int(v) != v or not 1 <= v <= self.m for v in vals):
-                raise ValueError(f"tau sweep values must be integers in [1, {self.m}]")
-        elif self.sweep == "s_min":
-            if any(not 0 < v <= self.s_max for v in vals):
-                raise ValueError("s_min sweep values must lie in (0, s_max]")
-        else:
-            if any(v < 0 for v in vals):
-                raise ValueError("sigma sweep values must be nonnegative")
-        if not 0 < self.s_min <= self.s_max:
-            raise ValueError(f"need 0 < s_min <= s_max, got {self.s_min}, {self.s_max}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not 1 <= self.tau <= self.m:
-            raise ValueError(f"need 1 <= tau <= {self.m}, got {self.tau}")
+        taus = (self.tau, *vals) if self.sweep == "tau" else (self.tau,)
+        if not all(float(t).is_integer() for t in taus):
+            raise ValueError(f"tau values must be integers, got {taus}")
+        # The fixed point and every swept point obey the same rules.
+        points = [(self.tau, self.s_min, self.sigma)] + [self.point(v) for v in vals]
+        for tau, s_min, sigma in points:
+            if not 1 <= tau <= self.m:
+                raise ValueError(f"need 1 <= tau <= {self.m}, got {tau}")
+            check_magnitudes(s_min, self.s_max)
+            check_sigma(sigma)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.beta_draws < 1:
             raise ValueError(f"beta_draws must be >= 1, got {self.beta_draws}")
+
+    def point(self, value) -> tuple[int, float, float]:
+        """``(tau, s_min, sigma)`` at one sweep value."""
+        fixed = {"tau": self.tau, "s_min": self.s_min, "sigma": self.sigma, self.sweep: value}
+        return int(fixed["tau"]), float(fixed["s_min"]), float(fixed["sigma"])
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,7 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for i, value in enumerate(cfg.sweep_values):
-            tau, s_min, sigma = cfg.tau, cfg.s_min, cfg.sigma
-            if cfg.sweep == "tau":
-                tau = int(value)
-            elif cfg.sweep == "s_min":
-                s_min = float(value)
-            else:
-                sigma = float(value)
+            tau, s_min, sigma = cfg.point(value)
             results.append(
                 run_point(
                     d,

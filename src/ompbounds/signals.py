@@ -26,6 +26,21 @@ def require_finite(name: str, *values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_magnitudes(s_min: float, s_max: float) -> None:
+    """Raise ``ValueError`` unless ``0 < s_min <= s_max``, both finite."""
+    require_finite("s_min", s_min)
+    require_finite("s_max", s_max)
+    if not 0.0 < s_min <= s_max:
+        raise ValueError(f"need 0 < s_min <= s_max, got {s_min}, {s_max}")
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise ``ValueError`` unless the noise deviation ``sigma`` is finite and nonnegative."""
+    require_finite("sigma", sigma)
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Keyed, reproducible random stream.
@@ -66,10 +81,7 @@ class SparseSignal:
     s_max: float
 
     def __post_init__(self):
-        require_finite("s_min", self.s_min)
-        require_finite("s_max", self.s_max)
-        if not 0.0 < self.s_min <= self.s_max:
-            raise ValueError(f"need 0 < s_min <= s_max, got {self.s_min}, {self.s_max}")
+        check_magnitudes(self.s_min, self.s_max)
         if len(set(self.support.tolist())) != len(self.support):
             raise ValueError("support indices must be distinct")
         mask = np.zeros(len(self.values), dtype=bool)
@@ -111,10 +123,7 @@ def draw_sparse_signal(rng, n: int, tau: int, s_min: float, s_max: float) -> Spa
     Draw order is fixed (support, then magnitudes, then signs) so a given
     stream always produces the same signal.
     """
-    require_finite("s_min", s_min)
-    require_finite("s_max", s_max)
-    if not 0.0 < s_min <= s_max:
-        raise ValueError(f"need 0 < s_min <= s_max, got {s_min}, {s_max}")
+    check_magnitudes(s_min, s_max)
     g = as_generator(rng)
     support = draw_support(g, n, tau)
     magnitudes = g.uniform(s_min, s_max, size=tau)
@@ -131,8 +140,7 @@ def synthesize(d: Dictionary, s: SparseSignal, sigma: float, rng) -> Measurement
     so under a fixed stream the noise vector for ``sigma=c`` is exactly
     ``c`` times the one for ``sigma=1``.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_sigma(sigma)
     if len(s.values) != d.n:
         raise ValueError(f"signal length {len(s.values)} != dictionary n={d.n}")
     g = as_generator(rng)

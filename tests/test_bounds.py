@@ -346,3 +346,45 @@ def test_guarantee_inputs_validation():
     ):
         with pytest.raises(ValueError):
             _inputs(**kw)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: thm1_probability(_inputs(tau=1, beta=0.0), math.nan),
+        lambda: thm1_probability(_inputs(tau=1, beta=0.0), math.inf),
+        lambda: alpha_from_beta(math.nan, 0.01, 16),
+        lambda: alpha_from_beta(0.05, math.inf, 16),
+        lambda: beta_from_alpha(1.0, math.nan, 16),
+        lambda: beta_from_alpha(math.inf, 0.01, 16),
+        lambda: bernstein_tail(math.nan, 4, 0.01, 0.3),
+        lambda: bernstein_tail(0.5, 4, math.inf, 0.3),
+        lambda: lemma1_tail(math.nan, 0.1, 16, 0.01, 0.3),
+        lambda: lemma1_tail(0.5, math.nan, 16, 0.01, 0.3),
+        lambda: synthesize(
+            build_identity_hadamard(4),
+            draw_sparse_signal(RngStream(0, 1), 8, 2, 0.5, 1.0),
+            math.nan,
+            RngStream(0, 1),
+        ),
+    ],
+    ids=[
+        "thm1_alpha_nan",
+        "thm1_alpha_inf",
+        "alpha_from_beta_beta_nan",
+        "alpha_from_beta_sigma_inf",
+        "beta_from_alpha_sigma_nan",
+        "beta_from_alpha_alpha_inf",
+        "bernstein_delta_nan",
+        "bernstein_nu_inf",
+        "lemma1_xi_nan",
+        "lemma1_beta_nan",
+        "synthesize_sigma_nan",
+    ],
+)
+def test_non_finite_scalars_rejected(call):
+    # Each comparison with NaN is false, so range checks alone let it
+    # through: it came back as probability 0 or 1, valid=False, or an
+    # all-NaN observation.
+    with pytest.raises(ValueError, match="must be finite"):
+        call()

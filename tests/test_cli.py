@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import stat
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -327,6 +328,75 @@ def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monk
     assert main(argv) == 1
     assert "--workers must lie in [1, " in _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_config_keys_are_experiment_config_fields():
+    # Derived from ExperimentConfig's fields, so pin them literally.
+    assert list(cli.CONFIG_KEYS.items()) == [
+        ("m", int),
+        ("sweep", str),
+        ("sweep_values", tuple),
+        ("tau", int),
+        ("s_min", float),
+        ("s_max", float),
+        ("sigma", float),
+        ("trials", int),
+        ("beta_draws", int),
+        ("sigma_sq", float),
+    ]
+    raw = {"m": "16", "sweep": "sigma", "sweep_values": "0,0.1", "tau": "2", "s_min": "0.5",
+           "s_max": "1"}
+    cfg = cli._build_experiment(raw, 3)
+    assert (cfg.trials, cfg.beta_draws, cfg.master_seed) == (5000, 10_000, 3)
+    assert (cfg.sweep_values, cfg.sigma) == ((0.0, 0.1), 0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        (["tau=abc"], "'tau'"),
+        (["sweep_values=1.5"], "'sweep_values'"),
+        (["m=1e3"], "'m'"),
+    ],
+    ids=["tau", "sweep_values", "m"],
+)
+def test_sweep_bad_value_names_its_key(tmp_path, sweep_config, capsys, overrides, key):
+    out = tmp_path / "never.csv"
+    assert main(_sweep_argv(sweep_config, overrides) + ["--out", str(out)]) == 1
+    assert key in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_sweep_empty_values_rejected(tmp_path, sweep_config, capsys):
+    out = tmp_path / "never.csv"
+    assert main(_sweep_argv(sweep_config, ["sweep_values=,"]) + ["--out", str(out)]) == 1
+    assert "sweep_values must be nonempty" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "beta"])
+def test_negative_seed_rejected(tmp_path, sweep_config, capsys, command):
+    out = tmp_path / "never.csv"
+    if command == "sweep":
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(out)]
+    else:
+        argv = ["beta", "-m", "16", "--sigma", "0.1", "--draws", "10"]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "--seed" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_sweep_outputs_follow_umask(tmp_path, sweep_config, umask):
+    out, script = tmp_path / "r.csv", tmp_path / "r.gp"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--plot-script", str(script)]
+    old = os.umask(umask)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    for path in (out, script):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_sweep_requires_core_keys(tmp_path, capsys):

@@ -114,6 +114,7 @@ def test_run_sweep_sigma_rescales_beta_per_point():
         dict(s_max=math.inf),
         dict(sweep="sigma", sweep_values=(0.01, math.nan)),
         dict(sweep="s_min", sweep_values=(math.nan,)),
+        dict(sweep="s_min", sweep_values=(0.5,), tau=2.5),
     ],
 )
 def test_config_validation(kw):
