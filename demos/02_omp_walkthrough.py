@@ -2,9 +2,7 @@
 
 Plants a 3-sparse signal in a small identity-Hadamard dictionary, adds a
 little noise, and walks through what the solver reports: the selection
-order, the least-squares coefficients, and the shrinking residual.  On an
-instance this small the exhaustive search over all supports is feasible,
-so we also confirm the greedy answer against it.
+order, the least-squares coefficients, and the shrinking residual.
 """
 
 import numpy as np
@@ -13,7 +11,6 @@ from ompbounds import (
     RngStream,
     build_identity_hadamard,
     draw_sparse_signal,
-    exhaustive_l0,
     omp,
     support_match,
     synthesize,
@@ -38,9 +35,3 @@ for k, rn in enumerate(result.residual_norms, start=1):
     print(f"  after iteration {k}: residual norm = {rn:.5f}")
 print(f"  coefficients    : {np.round(result.coefficients, 4).tolist()}")
 print(f"  support correct : {support_match(result.support, signal.support)}")
-
-oracle = exhaustive_l0(d, meas.observed, tau)
-print("\nExhaustive search over all C(32, 3) supports:")
-print(f"  best support    : {oracle.support.tolist()}")
-print(f"  residual norm   : {oracle.residual_norm:.5f}")
-print(f"  agrees with OMP : {support_match(oracle.support, result.support)}")

@@ -16,14 +16,7 @@ from .bounds import (
 )
 from .dictionary import Dictionary, build_identity_hadamard, fwht
 from .montecarlo import ExperimentConfig, SweepResult, run_point, run_sweep
-from .omp import (
-    EnumerationLimitError,
-    OmpResult,
-    SingularSystemError,
-    exhaustive_l0,
-    omp,
-    support_match,
-)
+from .omp import OmpResult, SingularSystemError, omp, support_match
 from .signals import (
     Measurement,
     RngStream,
@@ -37,7 +30,6 @@ __all__ = [
     "AlphaBeta",
     "BoundBreakdown",
     "Dictionary",
-    "EnumerationLimitError",
     "ExperimentConfig",
     "GuaranteeInputs",
     "Measurement",
@@ -53,7 +45,6 @@ __all__ = [
     "draw_sparse_signal",
     "draw_support",
     "estimate_beta",
-    "exhaustive_l0",
     "fwht",
     "lemma1_tail",
     "omp",

@@ -57,8 +57,8 @@ class GuaranteeInputs:
         check_sigma(self.sigma)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if not 1 <= self.tau <= self.n:
+            raise ValueError(f"tau must lie in [1, n={self.n}], got {self.tau}")
         if not 0.0 < self.mu_max < 1.0:
             raise ValueError(f"mu_max must lie in (0, 1), got {self.mu_max}")
         if self.beta < 0:
@@ -283,14 +283,12 @@ def unit_correlation_max(d: Dictionary, draws: int, rng, *, batch: int = 256) ->
     return best
 
 
-def estimate_beta(d: Dictionary, sigma: float, draws: int = 10_000, rng=None) -> float:
+def estimate_beta(d: Dictionary, sigma: float, draws: int, rng) -> float:
     """Empirical worst-case ``beta``: max of ``|<A_j, w>|`` over noise draws.
 
-    ``w ~ N(0, sigma^2 I)``; the default 10^4 draws gives a stable
-    worst-case estimate.  Scaling is exact: doubling ``sigma`` under the
-    same stream exactly doubles the estimate.
+    ``w ~ N(0, sigma^2 I)``; 10^4 draws give a stable worst-case estimate.
+    Scaling is exact: doubling ``sigma`` under the same stream exactly
+    doubles the estimate.
     """
     check_sigma(sigma)
-    if rng is None:
-        raise ValueError("an RngStream or Generator is required")
     return sigma * unit_correlation_max(d, draws, rng)

@@ -17,7 +17,6 @@ from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
     estimate_beta,
-    require_finite,
     thm1_condition,
     thm1_probability,
     thm2_bound,
@@ -133,6 +132,8 @@ def _sweep_csv(cfg: ExperimentConfig, results) -> str:
 
 
 def _plot_script(csv_path: str, sweep: str) -> str:
+    # gnuplot writes a quote inside a single-quoted string as two quotes.
+    quoted = csv_path.replace("'", "''")
     return "\n".join(
         [
             "# Line plot of sweep results (gnuplot).",
@@ -141,7 +142,7 @@ def _plot_script(csv_path: str, sweep: str) -> str:
             "set ylabel 'probability of support recovery'",
             "set yrange [-0.05:1.05]",
             "set key bottom left",
-            f"plot '{csv_path}' using 'param_value':'empirical_prob' "
+            f"plot '{quoted}' using 'param_value':'empirical_prob' "
             "with linespoints title 'empirical', \\",
             "     '' using 'param_value':'thm1_prob' with linespoints title 'thm1', \\",
             "     '' using 'param_value':'thm2_prob' with linespoints title 'thm2'",
@@ -168,22 +169,19 @@ def _cmd_bound(args) -> int:
         sigma=args.sigma,
         beta=args.beta,
     )
+    cond1 = thm1_condition(g)
     if args.alpha is not None:
-        require_finite("alpha", args.alpha)
+        # A given alpha is an input: thm1_probability rejects it unless
+        # finite and positive.
         alpha, alpha_note = args.alpha, "given"
+        prob1 = thm1_probability(g, alpha)
     elif g.sigma > 0 and g.beta > 0:
         ab = alpha_from_beta(g.beta, g.sigma, g.n)
         alpha, alpha_note = ab.alpha, "derived" if ab.valid else "derived, invalid"
+        prob1 = thm1_probability(g, alpha) if ab.valid else 0.0
     else:
         alpha, alpha_note = None, "undefined"
-
-    cond1 = thm1_condition(g)
-    if alpha is not None and alpha > 0:
-        prob1 = thm1_probability(g, alpha)
-    elif alpha is None:
         prob1 = 1.0 if cond1 else 0.0
-    else:
-        prob1 = 0.0
     b = thm2_bound(g, tight_lambda=args.tight_lambda)
 
     print(f"thm1_condition={_fmt(cond1)}")
@@ -192,19 +190,10 @@ def _cmd_bound(args) -> int:
     print(f"alpha={alpha_text}")
     print(f"thm2_condition={_fmt(b.condition_ok)}")
     print(f"thm2_prob={_fmt(b.probability)}")
-    for name in (
-        "rho",
-        "gamma",
-        "p1",
-        "p2",
-        "p3",
-        "lambda_raw",
-        "lambda_lb",
-        "error_ub",
-        "probability_raw",
-        "probability",
-    ):
-        print(f"{name}={_fmt(getattr(b, name))}")
+    # The breakdown in field order; its condition is printed above.
+    for f in fields(b):
+        if f.name != "condition_ok":
+            print(f"{f.name}={_fmt(getattr(b, f.name))}")
     return 0
 
 

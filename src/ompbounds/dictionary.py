@@ -7,19 +7,14 @@ Kronecker product of two small Sylvester matrices with ``p q = m``), only
 the two factors are kept: atoms are outer products of one row of each, and
 correlations and matrix-vector products are two small BLAS matrix
 products, ``H_p @ X @ H_q`` with ``X`` the vector reshaped to ``(p, q)``.
-Arbitrary dense dictionaries are supported for small-scale experiments.
+It is the only dictionary the library builds; a dense reference for tests
+is ``tests/oracles.py::DenseDictionary``.
 """
 
 import functools
 import math
 
 import numpy as np
-
-IDENTITY_HADAMARD = "identity-hadamard"
-DENSE = "dense"
-
-# Unit-norm tolerance for dictionary columns.
-NORM_TOL = 1e-12
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -87,57 +82,31 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 
 class Dictionary:
-    """Column-normalized real dictionary of shape ``(m, n)``.
+    """The ``m x 2m`` identity-Hadamard dictionary ``[I, H/sqrt(m)]``.
 
     Instances are immutable after construction and safe to share across
-    concurrent trials.  The lazily cached coherence is an idempotent
-    recompute, so a benign race at worst repeats work.
-
-    Use :func:`build_identity_hadamard` or :meth:`Dictionary.from_matrix`
-    instead of calling the constructor directly.
+    concurrent trials.  Use :func:`build_identity_hadamard`, which checks
+    ``m``, instead of calling the constructor directly.
     """
 
-    def __init__(self, kind: str, m: int, n: int, matrix: np.ndarray | None = None):
-        self.kind = kind
+    def __init__(self, m: int):
         self.m = int(m)
-        self.n = int(n)
-        self._matrix = matrix
-        self._mu_max: float | None = None
-        if kind == IDENTITY_HADAMARD:
-            self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
-            # H_m / sqrt(m) = (H_p / sqrt(m)) (x) H_q: the scale is folded
-            # into the left factor, so every product of factor entries is
-            # exactly +-1/sqrt(m).
-            hp, self._hq = _kronecker_factors(self.m)
-            self._hp_scaled = hp * self._inv_sqrt_m
+        self.n = 2 * self.m
+        self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
+        # H_m / sqrt(m) = (H_p / sqrt(m)) (x) H_q: the scale is folded
+        # into the left factor, so every product of factor entries is
+        # exactly +-1/sqrt(m).
+        hp, self._hq = _kronecker_factors(self.m)
+        self._hp_scaled = hp * self._inv_sqrt_m
 
-    @classmethod
-    def from_matrix(cls, a: np.ndarray) -> "Dictionary":
-        """Wrap an arbitrary real matrix, normalizing every column to unit norm.
-
-        Columns with norm below ``1e-12`` are rejected.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-        norms = np.linalg.norm(a, axis=0)
-        if np.any(norms < NORM_TOL):
-            bad = int(np.argmin(norms))
-            raise ValueError(f"column {bad} has near-zero norm {norms[bad]:.3e}")
-        return cls(DENSE, a.shape[0], a.shape[1], matrix=a / norms)
-
-    def __getstate__(self):
-        return {"kind": self.kind, "m": self.m, "n": self.n, "matrix": self._matrix}
-
-    def __setstate__(self, state):
-        self.__init__(state["kind"], state["m"], state["n"], state["matrix"])
+    def __reduce__(self):
+        # Workers rebuild the factors from m instead of unpickling them.
+        return (build_identity_hadamard, (self.m,))
 
     def column(self, j: int) -> np.ndarray:
         """Return atom ``j`` (0-based) as a length-``m`` unit vector."""
         if not 0 <= j < self.n:
             raise ValueError(f"column index {j} out of range [0, {self.n})")
-        if self.kind == DENSE:
-            return self._matrix[:, j].copy()
         if j < self.m:
             e = np.zeros(self.m)
             e[j] = 1.0
@@ -151,15 +120,13 @@ class Dictionary:
         """Inner products of every atom with ``r``: the OMP selection statistic.
 
         ``r`` has shape ``(m,)`` or ``(..., m)`` (applied along the last
-        axis).  For the identity-Hadamard kind the Hadamard half is two
-        small Kronecker-factor products per vector, O(m^1.5) flops, written
-        straight into the second half of the result.
+        axis).  The Hadamard half is two small Kronecker-factor products per
+        vector, O(m^1.5) flops, written straight into the second half of
+        the result.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape[-1] != self.m:
             raise ValueError(f"vector length {r.shape[-1]} != m={self.m}")
-        if self.kind == DENSE:
-            return r @ self._matrix
         lead = r.shape[:-1]
         p, q = self._hp_scaled.shape[0], self._hq.shape[0]
         # Halves as a leading axis of 2: out[..., 1, :, :] is a basic-index
@@ -174,33 +141,17 @@ class Dictionary:
         s = np.asarray(s, dtype=np.float64)
         if s.shape != (self.n,):
             raise ValueError(f"coefficient shape {s.shape} != ({self.n},)")
-        if self.kind == DENSE:
-            return self._matrix @ s
         hadamard = _kronecker_apply(s[self.m :], self._hp_scaled, self._hq)
         return s[: self.m] + hadamard.reshape(self.m)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full ``(m, n)`` matrix (intended for small m)."""
-        if self.kind == DENSE:
-            return self._matrix.copy()
         # Entry-wise the same products as column(), hence bit-identical.
         return np.hstack([np.eye(self.m), np.kron(self._hp_scaled, self._hq)])
 
     def mutual_coherence(self) -> float:
-        """Maximum absolute inner product over distinct column pairs.
-
-        The identity-Hadamard kind uses the closed form ``1/sqrt(m)``; a
-        dense dictionary is scanned pairwise, O(m n^2), once.
-        """
-        if self.n < 2:
-            raise ValueError("mutual coherence needs at least two columns")
-        if self.kind == IDENTITY_HADAMARD:
-            return self._inv_sqrt_m
-        if self._mu_max is None:
-            g = np.abs(self.to_dense().T @ self.to_dense())
-            np.fill_diagonal(g, 0.0)
-            self._mu_max = float(g.max())
-        return self._mu_max
+        """Maximum absolute inner product over distinct atoms: exactly ``1/sqrt(m)``."""
+        return self._inv_sqrt_m
 
 
 def build_identity_hadamard(m: int) -> Dictionary:
@@ -213,4 +164,4 @@ def build_identity_hadamard(m: int) -> Dictionary:
     """
     if not isinstance(m, (int, np.integer)) or not _is_power_of_two(int(m)) or m < 2:
         raise ValueError(f"m must be a power of two >= 2, got {m!r}")
-    return Dictionary(IDENTITY_HADAMARD, int(m), 2 * int(m))
+    return Dictionary(int(m))

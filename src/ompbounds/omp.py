@@ -1,11 +1,11 @@
-"""Greedy sparse recovery: OMP and an exhaustive baseline for tiny instances.
+"""Greedy sparse recovery: orthogonal matching pursuit.
 
 ``omp`` runs a fixed number of iterations equal to the target sparsity
 (the support-size comparison used throughout the experiments assumes the
 sparsity is known), selecting at each step the atom most correlated with
 the current residual and re-solving least squares on the whole active set.
-``exhaustive_l0`` brute-forces the best size-``tau`` support and serves as
-a ground-truth solver on instances small enough to enumerate.
+Its slow references, a from-scratch re-solving OMP and an exhaustive
+best-support search, live in ``tests/oracles.py``.
 """
 
 import math
@@ -18,9 +18,6 @@ from .dictionary import Dictionary
 # A candidate atom whose component orthogonal to the active span falls
 # below this norm makes the active set numerically rank deficient.
 RANK_TOL = 1e-12
-
-# Cap on the number of supports exhaustive_l0 is allowed to enumerate.
-ENUMERATION_LIMIT = 10**6
 
 
 class SingularSystemError(RuntimeError):
@@ -53,34 +50,20 @@ class SingularSystemError(RuntimeError):
         return msg
 
 
-class EnumerationLimitError(ValueError):
-    """Requested support enumeration exceeds ``ENUMERATION_LIMIT``."""
-
-
 @dataclass(frozen=True)
 class OmpResult:
     """Solver output.
 
     ``support`` preserves selection order; ``coefficients`` is the
     least-squares solution over those atoms, aligned with ``support``.
-    ``residual_norms`` records the residual 2-norm after each iteration
-    (``None`` for the exhaustive solver, which has no iteration history).
+    ``residual_norms`` records the residual 2-norm after each iteration.
     """
 
     support: np.ndarray
     coefficients: np.ndarray
     residual_norm: float
     iterations: int
-    residual_norms: np.ndarray | None = None
-
-
-def _check_tau_y(d: Dictionary, y: np.ndarray, tau: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (d.m,):
-        raise ValueError(f"measurement shape {y.shape} != ({d.m},)")
-    if not 1 <= tau <= min(d.m, d.n):
-        raise ValueError(f"need 1 <= tau <= {min(d.m, d.n)}, got {tau}")
-    return y
+    residual_norms: np.ndarray
 
 
 def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
@@ -91,7 +74,11 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     selected atoms through a QR factorization of the active set, updated
     one column per iteration.
     """
-    y = _check_tau_y(d, y, tau)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (d.m,):
+        raise ValueError(f"measurement shape {y.shape} != ({d.m},)")
+    if not 1 <= tau <= min(d.m, d.n):
+        raise ValueError(f"need 1 <= tau <= {min(d.m, d.n)}, got {tau}")
 
     # The orthonormal basis of the active span, one row per selected atom,
     # so every projection below is a contiguous matrix-vector product.
@@ -138,42 +125,6 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
         residual_norm=float(history[-1]),
         iterations=tau,
         residual_norms=history,
-    )
-
-
-def exhaustive_l0(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
-    """Best size-``tau`` support by brute force over all combinations.
-
-    Minimizes the least-squares residual norm; ties go to the
-    lexicographically smallest support.  Guarded by ``ENUMERATION_LIMIT``
-    on ``C(n, tau)``.
-    """
-    y = _check_tau_y(d, y, tau)
-    n_supports = math.comb(d.n, tau)
-    if n_supports > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"C({d.n}, {tau}) = {n_supports} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
-    from itertools import combinations
-
-    best_support = None
-    best_coef = None
-    best_sq = math.inf
-    for combo in combinations(range(d.n), tau):
-        active = np.column_stack([d.column(i) for i in combo])
-        coef, *_ = np.linalg.lstsq(active, y, rcond=None)
-        resid = y - active @ coef
-        sq = float(resid @ resid)
-        if sq < best_sq:
-            best_sq = sq
-            best_support = combo
-            best_coef = coef
-    return OmpResult(
-        support=np.array(best_support, dtype=np.int64),
-        coefficients=best_coef,
-        residual_norm=math.sqrt(max(best_sq, 0.0)),
-        iterations=tau,
-        residual_norms=None,
     )
 
 

@@ -4,10 +4,14 @@ The bound evaluators are coded directly from the definitions in mpmath at
 50 significant digits, and the Walsh-Hadamard butterfly in plain NumPy,
 without calling the library under test, so any agreement is meaningful.
 The OMP reference shares only the dictionary's correlations and atoms with
-the library; it re-solves least squares from scratch every iteration.
+the library; it re-solves least squares from scratch every iteration, and
+the exhaustive search tries every support.  ``DenseDictionary`` stands in
+for the library's identity-Hadamard dictionary where a test needs a matrix
+that dictionary cannot be.
 """
 
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -71,6 +75,55 @@ def omp_direct(d, y, tau):
         iterations=tau,
         residual_norms=history,
     )
+
+
+def exhaustive_l0(d, y, tau):
+    """Best size-``tau`` support by brute force over all ``C(n, tau)`` supports.
+
+    Minimizes the least-squares residual norm; ties go to the
+    lexicographically smallest support.
+    """
+    best_support, best_coef, best_sq = None, None, math.inf
+    for combo in combinations(range(d.n), tau):
+        active = np.column_stack([d.column(i) for i in combo])
+        coef, *_ = np.linalg.lstsq(active, y, rcond=None)
+        resid = y - active @ coef
+        sq = float(resid @ resid)
+        if sq < best_sq:
+            best_support, best_coef, best_sq = combo, coef, sq
+    return OmpResult(
+        support=np.array(best_support, dtype=np.int64),
+        coefficients=best_coef,
+        residual_norm=math.sqrt(best_sq),
+        iterations=tau,
+        residual_norms=np.zeros(0),  # no iteration history
+    )
+
+
+class DenseDictionary:
+    """An explicit real matrix with unit-norm columns, duck-typed as a ``Dictionary``.
+
+    Coherence is the pairwise scan over all columns, O(m n^2).
+    """
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=np.float64)
+        self._matrix = a / np.linalg.norm(a, axis=0)
+        self.m, self.n = a.shape
+
+    def column(self, j):
+        return self._matrix[:, j].copy()
+
+    def correlate_all(self, r):
+        return np.asarray(r, dtype=np.float64) @ self._matrix
+
+    def matvec(self, s):
+        return self._matrix @ np.asarray(s, dtype=np.float64)
+
+    def mutual_coherence(self):
+        g = np.abs(self._matrix.T @ self._matrix)
+        np.fill_diagonal(g, 0.0)
+        return float(g.max())
 
 
 def bernstein_oracle(delta, n_terms, nu, c):

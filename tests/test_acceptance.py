@@ -17,7 +17,6 @@ from ompbounds import (
     build_identity_hadamard,
     draw_sparse_signal,
     estimate_beta,
-    exhaustive_l0,
     lemma1_tail,
     omp,
     run_point,
@@ -31,6 +30,7 @@ from ompbounds import (
 from ompbounds.cli import main as cli_main
 from ompbounds.montecarlo import ExperimentConfig
 from oracles import (
+    exhaustive_l0,
     lemma1_oracle,
     bernstein_oracle,
     random_guarantee_grid,

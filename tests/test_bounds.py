@@ -343,6 +343,7 @@ def test_guarantee_inputs_validation():
         dict(sigma=math.inf),
         dict(beta=math.nan),
         dict(s_max=math.inf),
+        dict(tau=2049),
     ):
         with pytest.raises(ValueError):
             _inputs(**kw)

@@ -60,6 +60,16 @@ BOUND_FLAGS = [
 ]
 
 
+def _bound_with(flag, value):
+    """``BOUND_FLAGS`` with ``flag`` set to ``value``, replaced or appended."""
+    argv = list(BOUND_FLAGS)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
 def test_bound_output_round_trips(capsys):
     assert main(BOUND_FLAGS) == 0
     got = _kv(_lines(capsys))
@@ -104,13 +114,18 @@ def test_bound_noiseless_lambda_is_one(capsys):
 def test_bound_rejects_non_finite_input(capsys, flag, value):
     # NaN compares false against every range bound; left unchecked, a NaN
     # sigma yields thm1_prob=1.0 with exit status 0.
-    argv = list(BOUND_FLAGS)
-    if flag in argv:
-        argv[argv.index(flag) + 1] = value
-    else:
-        argv += [flag, value]
-    assert main(argv) == 1
+    assert main(_bound_with(flag, value)) == 1
     assert "must be finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--tau", "2049"), ("--alpha", "-1"), ("--alpha", "0")]
+)
+def test_bound_rejects_out_of_range_input(capsys, flag, value):
+    # More atoms in the support than in the dictionary, or a given alpha
+    # outside the guarantee's domain, is an input error, not a zero bound.
+    assert main(_bound_with(flag, value)) == 1
+    assert flag[2:] in _one_line_error(capsys)
 
 
 def test_beta_rejects_nan_sigma(capsys):
@@ -290,6 +305,10 @@ def test_sweep_plot_script(tmp_path, sweep_config):
     assert os.fspath(out) in text
     for column in ("param_value", "empirical_prob", "thm1_prob", "thm2_prob"):
         assert column in text
+
+
+def test_plot_script_quotes_csv_path():
+    assert "plot 'run''s.csv' using" in cli._plot_script("run's.csv", "tau")
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from ompbounds import Dictionary, build_identity_hadamard, fwht
-from oracles import fwht_butterfly
+from ompbounds import build_identity_hadamard, fwht
+from oracles import DenseDictionary, fwht_butterfly
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -37,30 +37,18 @@ def test_coherence_closed_form(m):
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_coherence_brute_force_agrees(m):
     d = build_identity_hadamard(m)
-    brute = Dictionary.from_matrix(d.to_dense()).mutual_coherence()
+    brute = DenseDictionary(d.to_dense()).mutual_coherence()
     assert brute == pytest.approx(d.mutual_coherence(), abs=1e-14)
 
 
 def test_coherence_orthonormal_is_zero():
-    d = Dictionary.from_matrix(np.eye(5))
+    d = DenseDictionary(np.eye(5))
     assert d.mutual_coherence() == 0.0
 
 
 def test_coherence_duplicate_column_is_one():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert Dictionary.from_matrix(a).mutual_coherence() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_coherence_needs_two_columns():
-    d = Dictionary.from_matrix(np.ones((3, 1)))
-    with pytest.raises(ValueError):
-        d.mutual_coherence()
-
-
-def test_coherence_cache_idempotent():
-    g = np.random.default_rng(3).normal(size=(6, 9))
-    d = Dictionary.from_matrix(g)
-    assert d.mutual_coherence() == d.mutual_coherence()
+    assert DenseDictionary(a).mutual_coherence() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_column_identity_block():
@@ -198,14 +186,3 @@ def test_fwht_equals_hadamard_matrix(m):
 def test_fwht_rejects_bad_length(n):
     with pytest.raises(ValueError):
         fwht(np.zeros(n))
-
-
-def test_from_matrix_normalizes_columns():
-    a = np.array([[3.0, 0.0], [4.0, 2.0]])
-    d = Dictionary.from_matrix(a)
-    np.testing.assert_allclose(np.linalg.norm(d.to_dense(), axis=0), [1.0, 1.0], atol=1e-15)
-
-
-def test_from_matrix_rejects_zero_column():
-    with pytest.raises(ValueError, match="near-zero"):
-        Dictionary.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))

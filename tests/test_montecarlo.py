@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from ompbounds import (
-    Dictionary,
     ExperimentConfig,
     SingularSystemError,
     build_identity_hadamard,
     run_point,
     run_sweep,
 )
+from oracles import DenseDictionary
 
 # Pinned on first computation (m=1024, tau=20, sigma=1e-3, seed 123): all
 # 1000 trials recover the support.
@@ -138,7 +138,7 @@ def test_config_validation(kw):
 def test_singular_system_reports_trial():
     # Duplicated atom: any trial whose support hits both copies makes the
     # active set singular on the second iteration.
-    d = Dictionary.from_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    d = DenseDictionary(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(SingularSystemError) as exc:
         run_point(d, 2, 0.5, 1.0, 0.0, 50, 0.0, 0, param_value=2)
     assert exc.value.trial is not None and exc.value.trial >= 1

@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompbounds import (
-    Dictionary,
-    EnumerationLimitError,
     RngStream,
     SingularSystemError,
     SparseSignal,
     build_identity_hadamard,
     draw_sparse_signal,
-    exhaustive_l0,
     omp,
     support_match,
     synthesize,
 )
-from oracles import omp_direct
+from oracles import DenseDictionary, exhaustive_l0, omp_direct
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
 NOISELESS_TAU = {8: 1, 16: 2, 32: 3, 64: 4}
@@ -103,11 +100,11 @@ def test_incremental_agrees_with_direct():
 def test_permutation_equivariance():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(12, 20))
-    d = Dictionary.from_matrix(a)
+    d = DenseDictionary(a)
     y = rng.normal(size=12)
     base = omp(d, y, 4)
     perm = rng.permutation(20)
-    d_perm = Dictionary.from_matrix(a[:, perm])
+    d_perm = DenseDictionary(a[:, perm])
     permuted = omp(d_perm, y, 4)
     # Column j of the original sits at position inv[j] after permuting.
     inv = np.argsort(perm)
@@ -127,7 +124,7 @@ def test_noiseless_recovery_under_coherence_condition(m, tau):
 
 def test_singular_active_set_reports_iteration():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    d = Dictionary.from_matrix(a)
+    d = DenseDictionary(a)
     with pytest.raises(SingularSystemError) as exc:
         omp(d, np.array([1.0, 0.0]), 2)
     assert exc.value.iteration == 2
@@ -135,7 +132,7 @@ def test_singular_active_set_reports_iteration():
 
 def test_direct_method_detects_singular_set_too():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    d = Dictionary.from_matrix(a)
+    d = DenseDictionary(a)
     with pytest.raises(SingularSystemError):
         omp_direct(d, np.array([1.0, 0.0]), 2)
 
@@ -154,12 +151,6 @@ def test_exhaustive_full_rank_tie_break():
     r = exhaustive_l0(d, y, 4)
     assert r.support.tolist() == [0, 1, 2, 3]
     assert r.residual_norm < 1e-12
-
-
-def test_exhaustive_enumeration_guard():
-    d = build_identity_hadamard(64)
-    with pytest.raises(EnumerationLimitError):
-        exhaustive_l0(d, np.zeros(64), 5)
 
 
 def test_omp_agrees_with_exhaustive_when_oracle_recovers():
