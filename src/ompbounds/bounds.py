@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .signals import as_generator, check_magnitudes, check_sigma, require_finite
+from .signals import RngStream, check_magnitudes, check_sigma, require_finite
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
+_BETA_BATCH = 256  # noise vectors per correlate_all call in unit_correlation_max
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,13 @@ class BoundBreakdown:
 
 @dataclass(frozen=True)
 class AlphaBeta:
-    """A ``(alpha, beta)`` pair linked by ``beta = sigma sqrt(2(1+alpha) log n)``.
+    """The ``alpha`` of ``beta = sigma sqrt(2(1+alpha) log n)`` for a given ``beta``.
 
     ``valid`` is False when the derived ``alpha`` is not strictly positive,
     in which case the sharp-condition guarantee does not apply.
     """
 
-    beta: float
     alpha: float
-    sigma: float
-    n: int
     valid: bool
 
 
@@ -250,7 +248,7 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     alpha = beta**2 / (2.0 * sigma**2 * math.log(n)) - 1.0
-    return AlphaBeta(beta=beta, alpha=alpha, sigma=sigma, n=n, valid=alpha > 0)
+    return AlphaBeta(alpha=alpha, valid=alpha > 0)
 
 
 def beta_from_alpha(alpha: float, sigma: float, n: int) -> float:
@@ -264,31 +262,33 @@ def beta_from_alpha(alpha: float, sigma: float, n: int) -> float:
     return sigma * math.sqrt(2.0 * (1.0 + alpha) * math.log(n))
 
 
-def unit_correlation_max(d: Dictionary, draws: int, rng, *, batch: int = 256) -> float:
+def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     """Max over ``draws`` unit-variance noise vectors of ``max_j |<A_j, w>|``.
 
-    The estimate for noise level ``sigma`` is exactly ``sigma`` times this
-    value, so one pass serves every noise level under the same stream.
+    The noise comes from one generator built from the stream ``rng``, drawn
+    in batches of ``_BETA_BATCH`` vectors.  The estimate for noise level
+    ``sigma`` is exactly ``sigma`` times this value, so one pass serves every
+    noise level under the same stream.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    g = as_generator(rng)
+    g = rng.generator()
     best = 0.0
     remaining = draws
     while remaining > 0:
-        k = min(batch, remaining)
+        k = min(_BETA_BATCH, remaining)
         u = g.standard_normal((k, d.m))
         best = max(best, float(np.abs(d.correlate_all(u)).max()))
         remaining -= k
     return best
 
 
-def estimate_beta(d: Dictionary, sigma: float, draws: int, rng) -> float:
+def estimate_beta(d: Dictionary, sigma: float, draws: int, rng: RngStream) -> float:
     """Empirical worst-case ``beta``: max of ``|<A_j, w>|`` over noise draws.
 
-    ``w ~ N(0, sigma^2 I)``; 10^4 draws give a stable worst-case estimate.
-    Scaling is exact: doubling ``sigma`` under the same stream exactly
-    doubles the estimate.
+    ``w ~ N(0, sigma^2 I)``, drawn from the keyed stream ``rng``; 10^4 draws
+    give a stable worst-case estimate.  Scaling is exact: doubling ``sigma``
+    under the same stream exactly doubles the estimate.
     """
     check_sigma(sigma)
     return sigma * unit_correlation_max(d, draws, rng)

@@ -81,23 +81,37 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return _kronecker_apply(a, hp, hq).reshape(a.shape)
 
 
+def check_m(m) -> None:
+    """Raise ``ValueError`` unless ``m`` is an integer power of two ``>= 2``."""
+    if not isinstance(m, (int, np.integer)) or not _is_power_of_two(int(m)) or m < 2:
+        raise ValueError(f"m must be a power of two >= 2, got {m!r}")
+
+
 class Dictionary:
     """The ``m x 2m`` identity-Hadamard dictionary ``[I, H/sqrt(m)]``.
 
     Instances are immutable after construction and safe to share across
     concurrent trials.  Use :func:`build_identity_hadamard`, which checks
-    ``m``, instead of calling the constructor directly.
+    ``m``, instead of calling the constructor directly.  The Kronecker
+    factors are built on first use, so asking only for ``m``, ``n`` or the
+    coherence allocates nothing of size ``m``.
     """
 
     def __init__(self, m: int):
         self.m = int(m)
         self.n = 2 * self.m
         self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
+
+    @functools.cached_property
+    def _hp_scaled(self) -> np.ndarray:
         # H_m / sqrt(m) = (H_p / sqrt(m)) (x) H_q: the scale is folded
         # into the left factor, so every product of factor entries is
         # exactly +-1/sqrt(m).
-        hp, self._hq = _kronecker_factors(self.m)
-        self._hp_scaled = hp * self._inv_sqrt_m
+        return _kronecker_factors(self.m)[0] * self._inv_sqrt_m
+
+    @functools.cached_property
+    def _hq(self) -> np.ndarray:
+        return _kronecker_factors(self.m)[1]
 
     def __reduce__(self):
         # Workers rebuild the factors from m instead of unpickling them.
@@ -162,6 +176,5 @@ def build_identity_hadamard(m: int) -> Dictionary:
     keeps only the two Kronecker factors of ``H_m`` (at most ``sqrt(2m)``
     on a side), with ``1/sqrt(m)`` folded into one of them.
     """
-    if not isinstance(m, (int, np.integer)) or not _is_power_of_two(int(m)) or m < 2:
-        raise ValueError(f"m must be a power of two >= 2, got {m!r}")
+    check_m(m)
     return Dictionary(int(m))

@@ -28,7 +28,7 @@ from .bounds import (
     thm2_bound,
     unit_correlation_max,
 )
-from .dictionary import Dictionary, build_identity_hadamard
+from .dictionary import Dictionary, build_identity_hadamard, check_m
 from .omp import SingularSystemError, omp, support_match
 from .signals import RngStream, check_magnitudes, check_sigma, draw_sparse_signal, synthesize
 
@@ -58,8 +58,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2 or self.m & (self.m - 1):
-            raise ValueError(f"m must be a power of two >= 2, got {self.m}")
+        check_m(self.m)
         if self.sweep not in SWEEP_KINDS:
             raise ValueError(f"sweep must be one of {SWEEP_KINDS}, got {self.sweep!r}")
         vals = tuple(self.sweep_values)
@@ -78,10 +77,13 @@ class ExperimentConfig:
                 raise ValueError(f"need 1 <= tau <= {self.m}, got {tau}")
             check_magnitudes(s_min, self.s_max)
             check_sigma(sigma)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.beta_draws < 1:
-            raise ValueError(f"beta_draws must be >= 1, got {self.beta_draws}")
+        for name in ("trials", "beta_draws"):
+            count = getattr(self, name)
+            # bool is an int subclass; a float or bool count would reach the CSV.
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
 
     def point(self, value) -> tuple[int, float, float]:
         """``(tau, s_min, sigma)`` at one sweep value."""

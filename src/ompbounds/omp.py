@@ -61,8 +61,6 @@ class OmpResult:
 
     support: np.ndarray
     coefficients: np.ndarray
-    residual_norm: float
-    iterations: int
     residual_norms: np.ndarray
 
 
@@ -119,13 +117,7 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
         history[k] = math.sqrt(float(residual @ residual))
 
     coefficients = np.linalg.solve(r_factor, qty)
-    return OmpResult(
-        support=selected,
-        coefficients=coefficients,
-        residual_norm=float(history[-1]),
-        iterations=tau,
-        residual_norms=history,
-    )
+    return OmpResult(support=selected, coefficients=coefficients, residual_norms=history)
 
 
 def support_match(found, truth) -> bool:

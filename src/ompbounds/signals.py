@@ -3,14 +3,16 @@
 A trial signal has a uniformly random size-``tau`` support; nonzero
 magnitudes are i.i.d. uniform on ``[s_min, s_max]`` with independent
 random signs, and the measurement adds white Gaussian noise of standard
-deviation ``sigma``.  All randomness flows through :class:`RngStream`
-handles so that trials are reproducible and independent of scheduling.
+deviation ``sigma``.  A trial draws its signal and then its noise from one
+``numpy.random.Generator``, built from the trial's keyed :class:`RngStream`,
+so that trials are reproducible and independent of scheduling.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator
 
 from .dictionary import Dictionary
 
@@ -53,18 +55,9 @@ class RngStream:
     master_seed: int
     stream_id: int
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         seq = np.random.SeedSequence((self.master_seed, self.stream_id))
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept an :class:`RngStream` or an already-built numpy Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,6 @@ class SparseSignal:
         if len(mags) and not (mags.min() >= self.s_min and mags.max() <= self.s_max):
             raise ValueError("on-support magnitude outside [s_min, s_max]")
 
-    @property
-    def tau(self) -> int:
-        return len(self.support)
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -103,46 +92,42 @@ class Measurement:
 
     observed: np.ndarray
     noise: np.ndarray
-    sigma: float
 
 
-def draw_support(rng, n: int, tau: int) -> np.ndarray:
+def draw_support(rng: Generator, n: int, tau: int) -> np.ndarray:
     """First ``tau`` indices of a uniform random permutation of ``0..n-1``.
 
     Every size-``tau`` subset is equally likely.
     """
     if not 0 <= tau <= n:
         raise ValueError(f"need 0 <= tau <= n, got tau={tau}, n={n}")
-    g = as_generator(rng)
-    return g.permutation(n)[:tau]
+    return rng.permutation(n)[:tau]
 
 
-def draw_sparse_signal(rng, n: int, tau: int, s_min: float, s_max: float) -> SparseSignal:
+def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: float) -> SparseSignal:
     """Draw a sparse signal: uniform support, uniform magnitudes, random signs.
 
     Draw order is fixed (support, then magnitudes, then signs) so a given
-    stream always produces the same signal.
+    generator state always produces the same signal.
     """
     check_magnitudes(s_min, s_max)
-    g = as_generator(rng)
-    support = draw_support(g, n, tau)
-    magnitudes = g.uniform(s_min, s_max, size=tau)
-    signs = 2.0 * g.integers(0, 2, size=tau) - 1.0
+    support = draw_support(rng, n, tau)
+    magnitudes = rng.uniform(s_min, s_max, size=tau)
+    signs = 2.0 * rng.integers(0, 2, size=tau) - 1.0
     values = np.zeros(n)
     values[support] = signs * magnitudes
     return SparseSignal(values=values, support=support, s_min=s_min, s_max=s_max)
 
 
-def synthesize(d: Dictionary, s: SparseSignal, sigma: float, rng) -> Measurement:
+def synthesize(d: Dictionary, s: SparseSignal, sigma: float, rng: Generator) -> Measurement:
     """Form ``observed = A @ s + w`` with ``w ~ N(0, sigma^2 I)``.
 
     The noise is drawn at unit variance and scaled by ``sigma`` afterwards,
-    so under a fixed stream the noise vector for ``sigma=c`` is exactly
-    ``c`` times the one for ``sigma=1``.
+    so from a fixed generator state the noise vector for ``sigma=c`` is
+    exactly ``c`` times the one for ``sigma=1``.
     """
     check_sigma(sigma)
     if len(s.values) != d.n:
         raise ValueError(f"signal length {len(s.values)} != dictionary n={d.n}")
-    g = as_generator(rng)
-    noise = sigma * g.standard_normal(d.m)
-    return Measurement(observed=d.matvec(s.values) + noise, noise=noise, sigma=sigma)
+    noise = sigma * rng.standard_normal(d.m)
+    return Measurement(observed=d.matvec(s.values) + noise, noise=noise)

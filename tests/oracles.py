@@ -71,8 +71,6 @@ def omp_direct(d, y, tau):
     return OmpResult(
         support=np.array(selected, dtype=np.int64),
         coefficients=coefficients,
-        residual_norm=float(history[-1]),
-        iterations=tau,
         residual_norms=history,
     )
 
@@ -94,9 +92,7 @@ def exhaustive_l0(d, y, tau):
     return OmpResult(
         support=np.array(best_support, dtype=np.int64),
         coefficients=best_coef,
-        residual_norm=math.sqrt(best_sq),
-        iterations=tau,
-        residual_norms=np.zeros(0),  # no iteration history
+        residual_norms=np.array([math.sqrt(best_sq)]),  # the final residual only
     )
 
 

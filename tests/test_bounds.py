@@ -19,6 +19,7 @@ from ompbounds import (
     thm2_bound,
     unit_correlation_max,
 )
+from ompbounds import bounds
 from oracles import (
     bernstein_oracle,
     lemma1_oracle,
@@ -322,10 +323,12 @@ def test_estimate_beta_fixture_and_range():
     assert 0.03 < other < 0.07
 
 
-def test_unit_correlation_max_batch_invariant():
+def test_unit_correlation_max_batch_invariant(monkeypatch):
     d = build_identity_hadamard(32)
-    a = unit_correlation_max(d, 333, RngStream(4, 0), batch=7)
-    b = unit_correlation_max(d, 333, RngStream(4, 0), batch=256)
+    monkeypatch.setattr(bounds, "_BETA_BATCH", 7)
+    a = unit_correlation_max(d, 333, RngStream(4, 0))
+    monkeypatch.setattr(bounds, "_BETA_BATCH", 256)
+    b = unit_correlation_max(d, 333, RngStream(4, 0))
     assert a == b
 
 
@@ -364,9 +367,9 @@ def test_guarantee_inputs_validation():
         lambda: lemma1_tail(0.5, math.nan, 16, 0.01, 0.3),
         lambda: synthesize(
             build_identity_hadamard(4),
-            draw_sparse_signal(RngStream(0, 1), 8, 2, 0.5, 1.0),
+            draw_sparse_signal(RngStream(0, 1).generator(), 8, 2, 0.5, 1.0),
             math.nan,
-            RngStream(0, 1),
+            RngStream(0, 1).generator(),
         ),
     ],
     ids=[

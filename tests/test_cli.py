@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import stat
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -48,6 +49,19 @@ def test_coherence_rejects_bad_m(capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_coherence_allocates_nothing_of_size_m(capsys):
+    # The answer is the closed form 1/sqrt(M); building the Kronecker
+    # factors of H_M for it would take 64 MB at M = 2^22.
+    tracemalloc.start()
+    try:
+        assert main(["coherence", "-m", str(2**22)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _kv(_lines(capsys))["mu_max"] == "0.000488"
+    assert peak < 1_000_000
+
+
 BOUND_FLAGS = [
     "bound",
     "--n", "2048",
@@ -68,6 +82,46 @@ def _bound_with(flag, value):
     else:
         argv += [flag, value]
     return argv
+
+
+# Exact stdout of three calculator commands, pinned byte for byte.
+GOLDEN_STDOUT = {
+    ("coherence", "-m", "1024"): "M=1024\nN=2048\nmu_max=0.031250\n",
+    tuple(BOUND_FLAGS): (
+        "thm1_condition=true\n"
+        "thm1_prob=1.0\n"
+        "alpha=5.55770473131347 (derived)\n"
+        "thm2_condition=true\n"
+        "thm2_prob=0.9486054777489583\n"
+        "rho=0.24\n"
+        "gamma=0.0313\n"
+        "p1=2.4568658115521642e-05\n"
+        "p2=2.5094981567891428e-05\n"
+        "p3=1.5389197253412733e-23\n"
+        "lambda_raw=1.0\n"
+        "lambda_lb=1.0\n"
+        "error_ub=0.051394522251041644\n"
+        "probability_raw=0.9486054777489583\n"
+        "probability=0.9486054777489583\n"
+    ),
+    ("beta", "-m", "64", "--sigma", "0.01", "--draws", "300", "--seed", "5"): (
+        "m=64\n"
+        "n=128\n"
+        "sigma=0.01\n"
+        "draws=300\n"
+        "beta=0.041300865840666716\n"
+        "alpha=0.7577812033377396\n"
+        "alpha_valid=true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT, ids=lambda argv: argv[0])
+def test_calculator_stdout_is_golden(capsys, argv):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == GOLDEN_STDOUT[argv]
+    assert captured.err == ""
 
 
 def test_bound_output_round_trips(capsys):

@@ -115,6 +115,11 @@ def test_run_sweep_sigma_rescales_beta_per_point():
         dict(sweep="sigma", sweep_values=(0.01, math.nan)),
         dict(sweep="s_min", sweep_values=(math.nan,)),
         dict(sweep="s_min", sweep_values=(0.5,), tau=2.5),
+        dict(trials=20.0),
+        dict(trials=True),
+        dict(trials=np.int64(20)),
+        dict(beta_draws=10.0),
+        dict(beta_draws=True),
     ],
 )
 def test_config_validation(kw):
@@ -133,6 +138,14 @@ def test_config_validation(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("field", ["trials", "beta_draws"])
+def test_config_count_type_error_names_its_field(field):
+    # Unchecked, a float count reached the CSV's integer column as "20.0".
+    base = dict(m=64, sweep="tau", sweep_values=(1, 2), tau=1, s_min=0.5, s_max=1.0, sigma=0.01)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 20.0$"):
+        ExperimentConfig(**base, **{field: 20.0})
 
 
 def test_singular_system_reports_trial():

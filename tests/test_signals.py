@@ -35,19 +35,19 @@ def test_stream_reproducibility_bit_for_bit():
 
 
 def test_distinct_streams_differ():
-    a = draw_support(RngStream(77, 1), 100, 10)
-    b = draw_support(RngStream(77, 2), 100, 10)
-    c = draw_support(RngStream(78, 1), 100, 10)
+    a = draw_support(RngStream(77, 1).generator(), 100, 10)
+    b = draw_support(RngStream(77, 2).generator(), 100, 10)
+    c = draw_support(RngStream(78, 1).generator(), 100, 10)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_draw_support_edges():
-    assert draw_support(RngStream(0, 0), 5, 0).size == 0
-    full = draw_support(RngStream(0, 0), 5, 5)
+    assert draw_support(RngStream(0, 0).generator(), 5, 0).size == 0
+    full = draw_support(RngStream(0, 0).generator(), 5, 5)
     assert sorted(full.tolist()) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
-        draw_support(RngStream(0, 0), 5, 6)
+        draw_support(RngStream(0, 0).generator(), 5, 6)
 
 
 def test_draw_support_uniform_over_pairs():
@@ -62,12 +62,12 @@ def test_draw_support_uniform_over_pairs():
 
 
 def test_signal_zero_sparsity():
-    s = draw_sparse_signal(RngStream(1, 1), 10, 0, 0.5, 1.0)
+    s = draw_sparse_signal(RngStream(1, 1).generator(), 10, 0, 0.5, 1.0)
     assert s.support.size == 0 and not s.values.any()
 
 
 def test_signal_degenerate_interval_gives_unit_magnitudes():
-    s = draw_sparse_signal(RngStream(1, 2), 64, 8, 1.0, 1.0)
+    s = draw_sparse_signal(RngStream(1, 2).generator(), 64, 8, 1.0, 1.0)
     np.testing.assert_array_equal(np.abs(s.values[s.support]), np.ones(8))
 
 
@@ -104,7 +104,7 @@ def test_signal_rejects_bad_range(s_min, s_max):
     # An infinite s_max passes the range check; unchecked, the draw overflows
     # inside numpy and a hand-built signal is accepted.
     with pytest.raises(ValueError):
-        draw_sparse_signal(RngStream(0, 0), 10, 2, s_min, s_max)
+        draw_sparse_signal(RngStream(0, 0).generator(), 10, 2, s_min, s_max)
     with pytest.raises(ValueError):
         SparseSignal(
             values=np.zeros(10), support=np.array([], dtype=np.int64), s_min=s_min, s_max=s_max
@@ -116,7 +116,7 @@ def test_synthesize_noiseless_identity_column():
     values = np.zeros(8)
     values[0] = 0.7
     s = SparseSignal(values=values, support=np.array([0]), s_min=0.7, s_max=0.7)
-    m = synthesize(d, s, 0.0, RngStream(0, 1))
+    m = synthesize(d, s, 0.0, RngStream(0, 1).generator())
     np.testing.assert_array_equal(m.observed, [0.7, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(m.noise, np.zeros(4))
 
@@ -131,23 +131,23 @@ def test_synthesize_noise_variance():
     assert samples.size >= 100_000
     assert abs(samples.var() - 1.0) < 0.02
     np.testing.assert_array_equal(
-        synthesize(d, zero, 0.0, RngStream(11, 1)).observed, np.zeros(d.m)
+        synthesize(d, zero, 0.0, RngStream(11, 1).generator()).observed, np.zeros(d.m)
     )
 
 
 def test_noise_scaling_is_exact():
     d = build_identity_hadamard(32)
     zero = _zero_signal(d.n)
-    w1 = synthesize(d, zero, 0.01, RngStream(3, 9)).noise
-    w2 = synthesize(d, zero, 0.02, RngStream(3, 9)).noise
+    w1 = synthesize(d, zero, 0.01, RngStream(3, 9).generator()).noise
+    w2 = synthesize(d, zero, 0.02, RngStream(3, 9).generator()).noise
     np.testing.assert_array_equal(w2, 2.0 * w1)
 
 
 def test_synthesize_dimension_mismatch():
     d = build_identity_hadamard(8)
-    s = draw_sparse_signal(RngStream(0, 0), 10, 2, 0.5, 1.0)
+    s = draw_sparse_signal(RngStream(0, 0).generator(), 10, 2, 0.5, 1.0)
     with pytest.raises(ValueError):
-        synthesize(d, s, 0.1, RngStream(0, 1))
+        synthesize(d, s, 0.1, RngStream(0, 1).generator())
 
 
 def test_measurement_identity():
@@ -156,4 +156,3 @@ def test_measurement_identity():
     s = draw_sparse_signal(g, d.n, 4, 0.5, 1.0)
     m = synthesize(d, s, 0.05, g)
     np.testing.assert_array_equal(m.observed, d.matvec(s.values) + m.noise)
-    assert m.sigma == 0.05
