@@ -15,7 +15,7 @@ from .bounds import (
     unit_correlation_max,
 )
 from .dictionary import Dictionary, build_identity_hadamard, fwht
-from .montecarlo import ExperimentConfig, SweepResult, run_point, run_sweep
+from .montecarlo import ExperimentConfig, SweepResult, count_successes, run_point, run_sweep
 from .omp import OmpResult, SingularSystemError, omp, support_match
 from .signals import (
     Measurement,
@@ -42,6 +42,7 @@ __all__ = [
     "bernstein_tail",
     "beta_from_alpha",
     "build_identity_hadamard",
+    "count_successes",
     "draw_sparse_signal",
     "draw_support",
     "estimate_beta",

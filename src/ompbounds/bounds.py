@@ -36,7 +36,11 @@ from .signals import RngStream, check_magnitudes, check_sigma, require_finite
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
-_BETA_BATCH = 256  # noise vectors per correlate_all call in unit_correlation_max
+# unit_correlation_max draws at most _BETA_BATCH noise vectors per
+# correlate_all call, and fewer when m is large: a batch's noise fits in
+# _BETA_BATCH_BYTES and its correlations in twice that.
+_BETA_BATCH = 256
+_BETA_BATCH_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -266,20 +270,30 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     """Max over ``draws`` unit-variance noise vectors of ``max_j |<A_j, w>|``.
 
     The noise comes from one generator built from the stream ``rng``, drawn
-    in batches of ``_BETA_BATCH`` vectors.  The estimate for noise level
-    ``sigma`` is exactly ``sigma`` times this value, so one pass serves every
-    noise level under the same stream.
+    in batches of ``min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 m))`` vectors
+    (at least one): 256 at ``m = 64``, 32 at 1024, 8 at 4096.  The noise
+    and correlation buffers are allocated once per call and refilled for
+    every batch, so memory stays near ``4 * _BETA_BATCH_BYTES`` whatever
+    ``m`` and ``draws`` are.  The vectors are drawn in one sequence and
+    each correlation is computed row by row, so the value does not depend
+    on the batch size.  The estimate for noise level ``sigma`` is exactly
+    ``sigma`` times this value, so one pass serves every noise level under
+    the same stream.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     g = rng.generator()
+    rows = max(1, min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 * d.m)))
+    noise = np.empty((rows, d.m))
+    corr = np.empty((rows, 2 * d.m))
     best = 0.0
-    remaining = draws
-    while remaining > 0:
-        k = min(_BETA_BATCH, remaining)
-        u = g.standard_normal((k, d.m))
-        best = max(best, float(np.abs(d.correlate_all(u)).max()))
-        remaining -= k
+    for start in range(0, draws, rows):
+        k = min(rows, draws - start)
+        u, c = noise[:k], corr[:k]
+        g.standard_normal(out=u)
+        d.correlate_all(u, out=c)
+        np.abs(c, out=c)
+        best = max(best, float(c.max()))
     return best
 
 

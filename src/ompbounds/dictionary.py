@@ -130,25 +130,33 @@ class Dictionary:
         i, k = divmod(j - self.m, self._hq.shape[0])
         return np.multiply.outer(self._hp_scaled[i], self._hq[k]).reshape(self.m)
 
-    def correlate_all(self, r: np.ndarray) -> np.ndarray:
+    def correlate_all(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inner products of every atom with ``r``: the OMP selection statistic.
 
         ``r`` has shape ``(m,)`` or ``(..., m)`` (applied along the last
         axis).  The Hadamard half is two small Kronecker-factor products per
         vector, O(m^1.5) flops, written straight into the second half of
-        the result.
+        the result.  ``out``, if given, is a C-contiguous float64 array of
+        the result's shape ``r.shape[:-1] + (2 m,)``; it receives the
+        result and is returned, with the same bits a fresh result would have.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape[-1] != self.m:
             raise ValueError(f"vector length {r.shape[-1]} != m={self.m}")
         lead = r.shape[:-1]
+        shape = lead + (2 * self.m,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            # reshape() of a strided out would copy, and the result would be lost.
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
         p, q = self._hp_scaled.shape[0], self._hq.shape[0]
-        # Halves as a leading axis of 2: out[..., 1, :, :] is a basic-index
-        # view, so the product lands in the result without a copy.
-        out = np.empty(lead + (2, p, q))
-        out[..., 0, :, :] = r.reshape(lead + (p, q))
-        _kronecker_apply(r, self._hp_scaled, self._hq, out=out[..., 1, :, :])
-        return out.reshape(lead + (2 * self.m,))
+        # Halves as a leading axis of 2: halves[..., 1, :, :] is a view of
+        # out, so the product lands in the result without a copy.
+        halves = out.reshape(lead + (2, p, q))
+        halves[..., 0, :, :] = r.reshape(lead + (p, q))
+        _kronecker_apply(r, self._hp_scaled, self._hq, out=halves[..., 1, :, :])
+        return out
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         """Compute ``A @ s`` for a length-``n`` coefficient vector."""

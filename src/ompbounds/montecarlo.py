@@ -2,19 +2,25 @@
 
 A point runs ``trials`` independent trials: draw a sparse signal, add
 noise, run OMP for exactly ``tau`` iterations, and count the trial as a
-success when the recovered support equals the planted one.  Point ``i`` of
-a sweep draws a 64-bit point seed from ``SeedSequence((master_seed, 1 + i))``
-and its trial ``t`` owns the stream ``(point_seed, t)`` for
-``t = 1..trials``; the outcome is an integer success count, so results are
-bit-identical regardless of execution order or degree of parallelism.  The
-worst-case ``beta`` estimate runs on ``(master_seed, 0)``, which no trial
-stream can equal, so ``beta_draws`` never shifts the trials.
+success when the recovered support equals the planted one
+(:func:`count_successes`); :func:`run_point` then puts the success count
+next to both bounds.  Point ``i`` of a sweep draws a 64-bit point seed from
+``SeedSequence((master_seed, 1 + i))`` and its trial ``t`` owns the stream
+``(point_seed, t)`` for ``t = 1..trials``; the outcome is an integer
+success count, so results are bit-identical regardless of execution order
+or degree of parallelism.  The worst-case ``beta`` estimate runs on
+``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
+never shifts the trials.
+
+A sweep is scheduled as tasks on one executor: the ``beta`` pass first,
+then every point's trial chunks, all submitted before any is waited on, so
+the ``beta`` pass runs alongside the trials.  Results are then collected
+in sweep order.  Neither the schedule nor the chunking changes a result.
 """
 
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +148,85 @@ def _count_successes(
     return count
 
 
+class _DeferredFuture(Future):
+    """A future whose task runs in the calling thread when its result is first asked for."""
+
+    def __init__(self, fn, args, kwargs):
+        super().__init__()
+        self._task = (fn, args, kwargs)
+
+    def result(self, timeout=None):
+        task, self._task = self._task, None
+        if task is not None and self.set_running_or_notify_cancel():
+            fn, args, kwargs = task
+            try:
+                self.set_result(fn(*args, **kwargs))
+            except Exception as err:
+                self.set_exception(err)
+        return super().result(timeout)
+
+
+class _InProcessExecutor(Executor):
+    """Runs each task in the calling process when its result is first asked for.
+
+    One worker takes the same submit-then-collect path as a process pool,
+    and a task whose result is never asked for, such as one queued after a
+    failed trial, never runs.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        return _DeferredFuture(fn, args, kwargs)
+
+
+def _submit_trials(
+    pool: Executor,
+    d: Dictionary,
+    tau: int,
+    s_min: float,
+    s_max: float,
+    sigma: float,
+    trials: int,
+    master_seed: int,
+    param_value: float,
+) -> list[Future]:
+    """Submit trials ``1..trials`` to ``pool`` in chunks; each future yields a success count."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    # Four chunks per core keep the workers busy to the end of a sweep.
+    n_chunks = min(4 * (os.cpu_count() or 1), trials)
+    edges = np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()
+    args = (d, tau, s_min, s_max, sigma, master_seed)
+    return [
+        pool.submit(_count_successes, *args, lo, hi, param_value)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+
+
+def count_successes(
+    d: Dictionary,
+    tau: int,
+    s_min: float,
+    s_max: float,
+    sigma: float,
+    trials: int,
+    master_seed: int,
+    *,
+    param_value: float = math.nan,
+    pool: Executor | None = None,
+) -> int:
+    """Number of trials ``1..trials`` under ``master_seed`` that recover the support.
+
+    Given a ``pool``, the trials run on it in chunks; the count is the
+    same with or without one.  A singular trial raises
+    :class:`SingularSystemError` naming ``param_value``, the trial and its
+    stream; the first such trial in trial order is the one reported.
+    """
+    futures = _submit_trials(
+        pool or _InProcessExecutor(), d, tau, s_min, s_max, sigma, trials, master_seed, param_value
+    )
+    return sum(f.result() for f in futures)
+
+
 def run_point(
     d: Dictionary,
     tau: int,
@@ -150,33 +235,21 @@ def run_point(
     sigma: float,
     trials: int,
     beta: float,
-    master_seed: int,
+    successes: int,
     *,
     param_value: float = math.nan,
-    pool: Executor | None = None,
 ) -> SweepResult:
-    """Monte Carlo estimate at one parameter point, plus both bounds.
+    """The record of one parameter point: ``successes`` of ``trials``, plus both bounds.
 
     ``beta`` is the (externally estimated) worst-case noise correlation;
-    both theoretical columns are evaluated with it.  Given a ``pool``, the
-    trial range is cut into chunks that run on it; the success count, and
-    hence every reported number, is identical with or without one.
+    both theoretical columns are evaluated with it.  The success count
+    comes from :func:`count_successes` or, in a sweep, from the trials
+    that :func:`run_sweep` schedules.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    args = (d, tau, s_min, s_max, sigma, master_seed)
-    if pool is None:
-        successes = _count_successes(*args, 1, trials + 1, param_value)
-    else:
-        # Four chunks per core keep the workers busy to the end of a point.
-        n_chunks = min(4 * (os.cpu_count() or 1), trials)
-        edges = np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()
-        futures = [
-            pool.submit(_count_successes, *args, lo, hi, param_value)
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        successes = sum(f.result() for f in futures)
-
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials={trials}, got {successes}")
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     g = GuaranteeInputs(
@@ -227,27 +300,50 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     ``beta`` comes from a single worst-case pass on stream
     ``(master_seed, 0)``; it scales exactly linearly in ``sigma``, so a
     sigma sweep re-estimates it per point while other sweeps share one
-    value.  ``workers > 1`` runs the trials on one process pool shared by
-    every point.
+    value.
+
+    Schedule: the ``beta`` pass and then every point's trial chunks are
+    submitted to one executor before any result is waited on, so no
+    trial waits for ``beta`` and no point waits for the one before it.
+    ``workers > 1`` uses a process pool; ``workers == 1`` uses an
+    in-process executor that runs each task when its result is first asked
+    for.  Records are then built in sweep order, so the first failure in
+    sweep order is the one raised, whatever finished first; on any failure
+    the chunks not yet started are cancelled.  Every number returned is
+    independent of the schedule and of ``workers``.
     """
     d = build_identity_hadamard(cfg.m)
-    unit_max = unit_correlation_max(d, cfg.beta_draws, RngStream(cfg.master_seed, 0))
-    results = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for i, value in enumerate(cfg.sweep_values):
-            tau, s_min, sigma = cfg.point(value)
-            results.append(
-                run_point(
-                    d,
-                    tau,
-                    s_min,
-                    cfg.s_max,
-                    sigma,
-                    cfg.trials,
-                    sigma * unit_max,
-                    _point_master_seed(cfg.master_seed, i),
-                    param_value=float(value),
-                    pool=pool,
-                )
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InProcessExecutor()
+    with pool:
+        try:
+            unit_max = pool.submit(
+                unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0)
             )
+            points = []
+            for i, value in enumerate(cfg.sweep_values):
+                tau, s_min, sigma = cfg.point(value)
+                seed = _point_master_seed(cfg.master_seed, i)
+                chunks = _submit_trials(
+                    pool, d, tau, s_min, cfg.s_max, sigma, cfg.trials, seed, float(value)
+                )
+                points.append((value, tau, s_min, sigma, chunks))
+            results = []
+            for value, tau, s_min, sigma, chunks in points:
+                successes = sum(f.result() for f in chunks)
+                results.append(
+                    run_point(
+                        d,
+                        tau,
+                        s_min,
+                        cfg.s_max,
+                        sigma,
+                        cfg.trials,
+                        sigma * unit_max.result(),
+                        successes,
+                        param_value=float(value),
+                    )
+                )
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return results

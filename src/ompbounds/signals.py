@@ -108,7 +108,9 @@ def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: fl
     """Draw a sparse signal: uniform support, uniform magnitudes, random signs.
 
     Draw order is fixed (support, then magnitudes, then signs) so a given
-    generator state always produces the same signal.
+    generator state always produces the same signal.  The result satisfies
+    every check of :class:`SparseSignal` by construction, so it is built
+    without running them again.
     """
     check_magnitudes(s_min, s_max)
     support = draw_support(rng, n, tau)
@@ -116,7 +118,9 @@ def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: fl
     signs = 2.0 * rng.integers(0, 2, size=tau) - 1.0
     values = np.zeros(n)
     values[support] = signs * magnitudes
-    return SparseSignal(values=values, support=support, s_min=s_min, s_max=s_max)
+    signal = object.__new__(SparseSignal)
+    vars(signal).update(values=values, support=support, s_min=s_min, s_max=s_max)
+    return signal
 
 
 def synthesize(d: Dictionary, s: SparseSignal, sigma: float, rng: Generator) -> Measurement:

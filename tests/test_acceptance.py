@@ -15,6 +15,7 @@ from ompbounds import (
     RngStream,
     bernstein_tail,
     build_identity_hadamard,
+    count_successes,
     draw_sparse_signal,
     estimate_beta,
     lemma1_tail,
@@ -156,10 +157,10 @@ def test_criterion_4_bound_soundness_desk_scale():
         sigma = math.sqrt(sigma_sq)
         beta = estimate_beta(d, sigma, 10_000, RngStream(GRID_SEED, 0))
         for tau in (2, 4, 8, 16):
-            r = run_point(
-                d, tau, 0.5, 1.0, sigma, 1000, beta,
-                master_seed=GRID_SEED + tau, param_value=tau,
+            successes = count_successes(
+                d, tau, 0.5, 1.0, sigma, 1000, GRID_SEED + tau, param_value=tau
             )
+            r = run_point(d, tau, 0.5, 1.0, sigma, 1000, beta, successes, param_value=tau)
             if r.thm2_condition and r.thm2_prob > r.empirical_prob + 3 * r.mc_stderr:
                 failures.append(
                     f"sigma^2={sigma_sq}, tau={tau}: thm2 {r.thm2_prob:.4f} > "
@@ -261,9 +262,9 @@ def test_criterion_7_noiseless_and_oracle_agreement():
     failures = []
     for m in (8, 16, 32, 64, 128, 256):
         d = build_identity_hadamard(m)
-        r = run_point(d, 1, 0.5, 1.0, 0.0, 1000, 0.0, GRID_SEED + m, param_value=1)
-        if r.successes != 1000:
-            failures.append(f"m={m}: {r.successes}/1000 noiseless recoveries")
+        successes = count_successes(d, 1, 0.5, 1.0, 0.0, 1000, GRID_SEED + m, param_value=1)
+        if successes != 1000:
+            failures.append(f"m={m}: {successes}/1000 noiseless recoveries")
 
     d = build_identity_hadamard(8)
     oracle_hits = 0

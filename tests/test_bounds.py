@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,34 @@ def test_unit_correlation_max_batch_invariant(monkeypatch):
     monkeypatch.setattr(bounds, "_BETA_BATCH", 256)
     b = unit_correlation_max(d, 333, RngStream(4, 0))
     assert a == b
+
+
+def test_unit_correlation_max_memory_is_bounded():
+    # A batch of 256 draws at m=16384 held 160 MB; batches are now bounded
+    # in bytes and their buffers reused.
+    d = build_identity_hadamard(16384)
+    tracemalloc.start()
+    try:
+        unit_correlation_max(d, 256, RngStream(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("m,rows", [(2, 256), (64, 256), (1024, 32), (4096, 8), (2**16, 1)])
+def test_unit_correlation_max_batch_rows(monkeypatch, m, rows):
+    # One correlate_all call per batch; its row count follows the byte bound.
+    seen = []
+    real = bounds.Dictionary.correlate_all
+
+    def spy(self, u, out=None):
+        seen.append(u.shape)
+        return real(self, u, out=out)
+
+    monkeypatch.setattr(bounds.Dictionary, "correlate_all", spy)
+    unit_correlation_max(build_identity_hadamard(m), 2 * rows + 1, RngStream(0, 0))
+    assert seen == [(rows, m), (rows, m), (1, m)]
 
 
 def test_guarantee_inputs_validation():

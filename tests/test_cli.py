@@ -501,6 +501,27 @@ def test_sweep_singular_trial_is_one_line(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+# Both points of this sweep have singular trials; the first point's trial
+# 12 comes first in sweep order.
+SINGULAR_TWO_POINTS = [
+    "m=4", "sweep=s_min", "sweep_values=0.5,0.6", "tau=4", "s_max=1", "sigma=0",
+    "trials=300", "beta_draws=10",
+]
+
+
+def test_sweep_singular_points_report_the_first_at_any_worker_count(tmp_path, capsys):
+    lines = []
+    for workers in (1, 2):
+        argv = ["sweep", "--out", str(tmp_path / "never.csv"), "--workers", str(workers)]
+        for item in SINGULAR_TWO_POINTS:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        lines.append(_one_line_error(capsys))
+    seed = _point_master_seed(0, 0)
+    assert lines[0] == lines[1]
+    assert f"sweep value 0.5, trial 12 on stream ({seed}, 12): " in lines[0]
+
+
 def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise BrokenProcessPool("a worker process terminated abruptly")

@@ -111,6 +111,27 @@ def test_correlate_batched_rows():
         np.testing.assert_array_equal(batched[i], d.correlate_all(rows[i]))
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)], ids=str)
+def test_correlate_into_out_buffer(lead):
+    d = build_identity_hadamard(64)
+    r = np.random.default_rng(len(lead)).normal(size=lead + (d.m,))
+    buf = np.full(lead + (d.n,), np.nan)
+    got = d.correlate_all(r, out=buf)
+    assert got is buf
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(got, d.correlate_all(r))
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [np.empty(31), np.empty(32, dtype=np.float32), np.empty(64)[::2], np.empty((2, 32))],
+    ids=["short", "float32", "strided", "batched"],
+)
+def test_correlate_rejects_bad_out(buf):
+    with pytest.raises(ValueError, match="out must be"):
+        build_identity_hadamard(16).correlate_all(np.ones(16), out=buf)
+
+
 def test_correlate_length_mismatch():
     with pytest.raises(ValueError):
         build_identity_hadamard(8).correlate_all(np.zeros(9))

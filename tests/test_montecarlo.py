@@ -9,9 +9,11 @@ from ompbounds import (
     ExperimentConfig,
     SingularSystemError,
     build_identity_hadamard,
+    count_successes,
     run_point,
     run_sweep,
 )
+from ompbounds import montecarlo
 from oracles import DenseDictionary
 
 # Pinned on first computation (m=1024, tau=20, sigma=1e-3, seed 123): all
@@ -21,7 +23,8 @@ REGRESSION_SUCCESSES = 1000
 
 def test_tau_one_noiseless_always_recovers():
     d = build_identity_hadamard(64)
-    r = run_point(d, 1, 0.5, 1.0, 0.0, 200, 0.0, 99, param_value=1)
+    successes = count_successes(d, 1, 0.5, 1.0, 0.0, 200, 99, param_value=1)
+    r = run_point(d, 1, 0.5, 1.0, 0.0, 200, 0.0, successes, param_value=1)
     assert r.successes == r.trials == 200
     assert r.empirical_prob == 1.0
     assert r.mc_stderr == 0.0
@@ -34,7 +37,8 @@ def test_tau_one_noiseless_always_recovers():
 
 def test_low_noise_regression_point():
     d = build_identity_hadamard(1024)
-    r = run_point(d, 20, 0.5, 1.0, 1e-3, 1000, 0.00581, 123, param_value=20)
+    successes = count_successes(d, 20, 0.5, 1.0, 1e-3, 1000, 123, param_value=20)
+    r = run_point(d, 20, 0.5, 1.0, 1e-3, 1000, 0.00581, successes, param_value=20)
     assert r.empirical_prob >= 0.99
     assert r.successes == REGRESSION_SUCCESSES
 
@@ -42,9 +46,9 @@ def test_low_noise_regression_point():
 def test_parallel_and_serial_results_identical():
     d = build_identity_hadamard(32)
     kwargs = dict(param_value=3.0)
-    serial = run_point(d, 3, 0.5, 1.0, 0.02, 120, 0.08, 7, **kwargs)
+    serial = count_successes(d, 3, 0.5, 1.0, 0.02, 120, 7, **kwargs)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        parallel = run_point(d, 3, 0.5, 1.0, 0.02, 120, 0.08, 7, pool=pool, **kwargs)
+        parallel = count_successes(d, 3, 0.5, 1.0, 0.02, 120, 7, pool=pool, **kwargs)
     assert serial == parallel
 
 
@@ -153,7 +157,7 @@ def test_singular_system_reports_trial():
     # active set singular on the second iteration.
     d = DenseDictionary(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(SingularSystemError) as exc:
-        run_point(d, 2, 0.5, 1.0, 0.0, 50, 0.0, 0, param_value=2)
+        count_successes(d, 2, 0.5, 1.0, 0.0, 50, 0, param_value=2)
     assert exc.value.trial is not None and exc.value.trial >= 1
     assert exc.value.iteration == 2
     assert "trial" in str(exc.value)
@@ -163,3 +167,24 @@ def test_singular_system_reports_trial():
     assert f"stream (0, {exc.value.trial})" in str(exc.value)
     back = pickle.loads(pickle.dumps(exc.value))
     assert str(back) == str(exc.value)
+
+
+def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
+    # Both points have singular trials; at one worker a trial runs only when
+    # its point's record is built, so nothing after point 0's trial 12 runs.
+    cfg = ExperimentConfig(
+        m=4, sweep="s_min", sweep_values=(0.5, 0.6), tau=4, s_min=0.5, s_max=1.0,
+        sigma=0.0, trials=300, beta_draws=10, master_seed=0,
+    )
+    calls = []
+    real = montecarlo.omp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    with pytest.raises(SingularSystemError) as exc:
+        run_sweep(cfg)
+    assert (exc.value.param_value, exc.value.trial) == (0.5, 12)
+    assert len(calls) == 12

@@ -97,6 +97,20 @@ def test_signal_dynamic_range_always_respected():
 
 
 @pytest.mark.parametrize(
+    "n,tau,s_min,s_max",
+    [(2, 1, 1.0, 1.0), (8, 8, 0.5, 1.0), (64, 5, 1e-3, 1e3), (2048, 60, 0.5, 1.0)],
+)
+def test_drawn_signals_pass_the_public_validator(n, tau, s_min, s_max):
+    # draw_sparse_signal skips SparseSignal's checks; rebuilding each drawn
+    # signal through the public constructor runs them.
+    g = RngStream(8, n).generator()
+    for _ in range(100):
+        s = draw_sparse_signal(g, n, tau, s_min, s_max)
+        assert s.support.size == tau
+        SparseSignal(s.values, s.support, s.s_min, s.s_max)  # raises if a check fails
+
+
+@pytest.mark.parametrize(
     "s_min,s_max",
     [(0.0, 1.0), (-0.5, 1.0), (2.0, 1.0), (0.5, math.inf), (math.nan, 1.0)],
 )
