@@ -42,17 +42,16 @@ def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _kronecker_apply(
     x: np.ndarray, hp: np.ndarray, hq: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``(hp (x) hq) @ v`` for every length-``p q`` vector ``v`` along the last axis.
+    """``(hp (x) hq) @ v`` for every length-``p q`` vector ``v``, given as ``(p, q)`` matrices.
 
-    Each vector is viewed as a ``(p, q)`` matrix ``X`` and mapped to
-    ``hp @ X @ hq.T``; the factors used here are symmetric, so ``hq.T`` is
-    ``hq``.  Stacked inputs go through one matrix product per vector, so a
-    row of a batch is computed exactly as it would be alone.  The result
-    has shape ``x.shape[:-1] + (p, q)``; ``out``, if given, must have that
-    shape and receives it.
+    ``x`` has shape ``(..., p, q)``: each vector ``v`` reshaped to a matrix
+    ``X``, which maps to ``hp @ X @ hq.T``; the factors used here are
+    symmetric, so ``hq.T`` is ``hq``.  Stacked inputs go through one matrix
+    product per vector, so a row of a batch is computed exactly as it
+    would be alone.  The result has the shape of ``x``; ``out``, if given,
+    must have that shape and receives it.
     """
-    p, q = hp.shape[0], hq.shape[0]
-    return np.matmul(hp, x.reshape(x.shape[:-1] + (p, q)) @ hq, out=out)
+    return np.matmul(hp, x @ hq, out=out)
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -78,7 +77,8 @@ def fwht(x: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(x, dtype=np.float64)
     hp, hq = _kronecker_factors(a.shape[-1])
-    return _kronecker_apply(a, hp, hq).reshape(a.shape)
+    mats = a.reshape(a.shape[:-1] + (hp.shape[0], hq.shape[0]))
+    return _kronecker_apply(mats, hp, hq).reshape(a.shape)
 
 
 def check_m(m) -> None:
@@ -95,11 +95,15 @@ class Dictionary:
     ``m``, instead of calling the constructor directly.  The Kronecker
     factors are built on first use, so asking only for ``m``, ``n`` or the
     coherence allocates nothing of size ``m``.
+
+    ``unit_atoms`` counts the leading atoms that are standard basis vectors:
+    all ``m`` of the identity half.  ``omp`` reads it to skip building them.
     """
 
     def __init__(self, m: int):
         self.m = int(m)
         self.n = 2 * self.m
+        self.unit_atoms = self.m
         self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
 
     @functools.cached_property
@@ -150,12 +154,13 @@ class Dictionary:
         elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
             # reshape() of a strided out would copy, and the result would be lost.
             raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-        p, q = self._hp_scaled.shape[0], self._hq.shape[0]
+        hp, hq = self._hp_scaled, self._hq
+        mats = r.reshape(lead + (hp.shape[0], hq.shape[0]))
         # Halves as a leading axis of 2: halves[..., 1, :, :] is a view of
         # out, so the product lands in the result without a copy.
-        halves = out.reshape(lead + (2, p, q))
-        halves[..., 0, :, :] = r.reshape(lead + (p, q))
-        _kronecker_apply(r, self._hp_scaled, self._hq, out=halves[..., 1, :, :])
+        halves = out.reshape(lead + (2,) + mats.shape[-2:])
+        halves[..., 0, :, :] = mats
+        _kronecker_apply(mats, hp, hq, out=halves[..., 1, :, :])
         return out
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
@@ -163,7 +168,8 @@ class Dictionary:
         s = np.asarray(s, dtype=np.float64)
         if s.shape != (self.n,):
             raise ValueError(f"coefficient shape {s.shape} != ({self.n},)")
-        hadamard = _kronecker_apply(s[self.m :], self._hp_scaled, self._hq)
+        hp, hq = self._hp_scaled, self._hq
+        hadamard = _kronecker_apply(s[self.m :].reshape(hp.shape[0], hq.shape[0]), hp, hq)
         return s[: self.m] + hadamard.reshape(self.m)
 
     def to_dense(self) -> np.ndarray:

@@ -4,8 +4,9 @@
 (the support-size comparison used throughout the experiments assumes the
 sparsity is known), selecting at each step the atom most correlated with
 the current residual and re-solving least squares on the whole active set.
-Its slow references, a from-scratch re-solving OMP and an exhaustive
-best-support search, live in ``tests/oracles.py``.
+Its references live in ``tests/oracles.py``: ``omp_qr``, the same QR
+solver with every atom built (``omp`` matches it bit for bit), a
+from-scratch re-solving OMP and an exhaustive best-support search.
 """
 
 import math
@@ -70,11 +71,29 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     Each iteration picks ``argmax_j |<A_j, r>|`` over unselected atoms
     (ties broken by lowest index), then re-solves least squares over all
     selected atoms through a QR factorization of the active set, updated
-    one column per iteration.
+    one column per iteration.  The scores of every iteration land in one
+    buffer.  The first ``d.unit_atoms`` atoms are standard basis vectors
+    (all ``m`` of them on the identity-Hadamard dictionary), so the
+    projections of such an atom onto the active span are read off as a
+    column of the orthonormal basis instead of multiplied out; the atom is
+    never built.  This computes the same floating-point operations as the
+    multiplied-out update, so supports, coefficients and residual norms are
+    bit-identical to ``tests/oracles.py::omp_qr`` (a zero may differ in
+    sign).
+
+    Raises ``ValueError`` for a ``y`` of the wrong shape or with a NaN or
+    infinite entry, and for a ``tau`` that is not an integer in
+    ``1..min(m, n)``; ``SingularSystemError`` if the active set becomes
+    numerically rank deficient.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (d.m,):
         raise ValueError(f"measurement shape {y.shape} != ({d.m},)")
+    if not np.isfinite(y).all():
+        raise ValueError("measurement y must be finite, got a NaN or infinite entry")
+    # bool is an int subclass, so it needs its own test.
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
+        raise ValueError(f"tau must be an integer, got {tau!r}")
     if not 1 <= tau <= min(d.m, d.n):
         raise ValueError(f"need 1 <= tau <= {min(d.m, d.n)}, got {tau}")
 
@@ -86,20 +105,29 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     selected = np.zeros(tau, dtype=np.int64)
     residual = y.copy()
     history = np.zeros(tau)
+    scores = np.empty(d.n)
+    unit_atoms = d.unit_atoms
 
     for k in range(tau):
-        scores = d.correlate_all(residual)
+        d.correlate_all(residual, out=scores)
         np.abs(scores, out=scores)
         scores[selected[:k]] = -1.0
-        j = int(np.argmax(scores))
+        j = int(scores.argmax())
         selected[k] = j
 
         # Orthogonalize the new atom against the active span; one
         # re-orthogonalization pass keeps Q orthonormal to machine precision.
-        a = d.column(j)
         active = q_rows[:k]
-        proj = active @ a
-        q = a - proj @ active
+        if j < unit_atoms:
+            # a = e_j: active @ a is column j of the basis, and a - x is -x
+            # plus 1 at j.  The copy keeps proj += corr out of q_rows.
+            proj = active[:, j].copy()
+            q = -(proj @ active)
+            q[j] += 1.0
+        else:
+            a = d.column(j)
+            proj = active @ a
+            q = a - proj @ active
         corr = active @ q
         q -= corr @ active
         proj += corr

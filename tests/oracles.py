@@ -3,11 +3,12 @@
 The bound evaluators are coded directly from the definitions in mpmath at
 50 significant digits, and the Walsh-Hadamard butterfly in plain NumPy,
 without calling the library under test, so any agreement is meaningful.
-The OMP reference shares only the dictionary's correlations and atoms with
-the library; it re-solves least squares from scratch every iteration, and
-the exhaustive search tries every support.  ``DenseDictionary`` stands in
-for the library's identity-Hadamard dictionary where a test needs a matrix
-that dictionary cannot be.
+The OMP references share only the dictionary's correlations and atoms with
+the library: ``omp_qr`` is the incremental-QR solver with every atom built
+and multiplied out, ``omp_direct`` re-solves least squares from scratch
+every iteration, and the exhaustive search tries every support.
+``DenseDictionary`` stands in for the library's identity-Hadamard
+dictionary where a test needs a matrix that dictionary cannot be.
 """
 
 import math
@@ -41,6 +42,62 @@ def fwht_butterfly(x):
         b[..., 1, :] = top - b[..., 1, :]
         h *= 2
     return a
+
+
+def omp_qr(d, y, tau):
+    """OMP with an incrementally updated QR factorization of the active set.
+
+    The bit-exact reference for ``ompbounds.omp``: the same selection rule
+    and the same floating-point operations, but every atom comes from
+    ``d.column`` and is projected by matrix-vector products, and each
+    iteration's scores are a fresh array.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (d.m,):
+        raise ValueError(f"measurement shape {y.shape} != ({d.m},)")
+    if not 1 <= tau <= min(d.m, d.n):
+        raise ValueError(f"need 1 <= tau <= {min(d.m, d.n)}, got {tau}")
+
+    # The orthonormal basis of the active span, one row per selected atom,
+    # so every projection below is a contiguous matrix-vector product.
+    q_rows = np.zeros((tau, d.m))
+    r_factor = np.zeros((tau, tau))
+    qty = np.zeros(tau)
+    selected = np.zeros(tau, dtype=np.int64)
+    residual = y.copy()
+    history = np.zeros(tau)
+
+    for k in range(tau):
+        scores = d.correlate_all(residual)
+        np.abs(scores, out=scores)
+        scores[selected[:k]] = -1.0
+        j = int(np.argmax(scores))
+        selected[k] = j
+
+        # Orthogonalize the new atom against the active span; one
+        # re-orthogonalization pass keeps Q orthonormal to machine precision.
+        a = d.column(j)
+        active = q_rows[:k]
+        proj = active @ a
+        q = a - proj @ active
+        corr = active @ q
+        q -= corr @ active
+        proj += corr
+        norm_q = math.sqrt(float(q @ q))
+        if norm_q < RANK_TOL:
+            raise SingularSystemError(iteration=k + 1)
+        q /= norm_q
+
+        r_factor[:k, k] = proj
+        r_factor[k, k] = norm_q
+        q_rows[k] = q
+        coef = float(q @ residual)
+        qty[k] = coef
+        residual -= coef * q
+        history[k] = math.sqrt(float(residual @ residual))
+
+    coefficients = np.linalg.solve(r_factor, qty)
+    return OmpResult(support=selected, coefficients=coefficients, residual_norms=history)
 
 
 def omp_direct(d, y, tau):
@@ -102,6 +159,9 @@ class DenseDictionary:
     Coherence is the pairwise scan over all columns, O(m n^2).
     """
 
+    # Claims no unit atoms, so omp builds and projects every atom.
+    unit_atoms = 0
+
     def __init__(self, a):
         a = np.asarray(a, dtype=np.float64)
         self._matrix = a / np.linalg.norm(a, axis=0)
@@ -110,8 +170,15 @@ class DenseDictionary:
     def column(self, j):
         return self._matrix[:, j].copy()
 
-    def correlate_all(self, r):
-        return np.asarray(r, dtype=np.float64) @ self._matrix
+    def correlate_all(self, r, out=None):
+        """``r @ A`` along the last axis; ``out``, if given, receives it as in ``Dictionary``."""
+        r = np.asarray(r, dtype=np.float64)
+        shape = r.shape[:-1] + (self.n,)
+        if out is not None and (
+            out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
+        ):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        return np.matmul(r, self._matrix, out=out)
 
     def matvec(self, s):
         return self._matrix @ np.asarray(s, dtype=np.float64)

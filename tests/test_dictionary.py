@@ -132,6 +132,24 @@ def test_correlate_rejects_bad_out(buf):
         build_identity_hadamard(16).correlate_all(np.ones(16), out=buf)
 
 
+def test_unit_atoms_are_the_leading_standard_basis():
+    d = build_identity_hadamard(16)
+    assert d.unit_atoms == d.m
+    np.testing.assert_array_equal(d.to_dense()[:, : d.unit_atoms], np.eye(d.m))
+    assert DenseDictionary(np.eye(4)).unit_atoms == 0
+
+
+@pytest.mark.parametrize("lead", [(), (5,)], ids=str)
+def test_dense_correlate_into_out_buffer(lead):
+    d = DenseDictionary(np.random.default_rng(3).normal(size=(6, 10)))
+    r = np.random.default_rng(len(lead)).normal(size=lead + (d.m,))
+    buf = np.full(lead + (d.n,), np.nan)
+    assert d.correlate_all(r, out=buf) is buf
+    assert np.array_equal(buf, d.correlate_all(r))
+    with pytest.raises(ValueError, match="out must be"):
+        d.correlate_all(r, out=np.empty(lead + (2 * d.n,))[..., ::2])
+
+
 def test_correlate_length_mismatch():
     with pytest.raises(ValueError):
         build_identity_hadamard(8).correlate_all(np.zeros(9))

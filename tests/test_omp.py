@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompbounds import (
+    Dictionary,
     RngStream,
     SingularSystemError,
     SparseSignal,
@@ -15,7 +17,7 @@ from ompbounds import (
     support_match,
     synthesize,
 )
-from oracles import DenseDictionary, exhaustive_l0, omp_direct
+from oracles import DenseDictionary, exhaustive_l0, omp_direct, omp_qr
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
 NOISELESS_TAU = {8: 1, 16: 2, 32: 3, 64: 4}
@@ -71,6 +73,91 @@ def test_measurement_shape_checked():
     d = build_identity_hadamard(8)
     with pytest.raises(ValueError):
         omp(d, np.zeros(7), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurement_rejected(bad):
+    y = np.ones(16)
+    y[5] = bad
+    with pytest.raises(ValueError, match="measurement y must be finite"):
+        omp(build_identity_hadamard(16), y, 3)
+
+
+@pytest.mark.parametrize("tau", [2.5, 3.0, True, "3"], ids=repr)
+def test_tau_must_be_an_integer(tau):
+    with pytest.raises(ValueError, match="tau must be an integer"):
+        omp(build_identity_hadamard(8), np.ones(8), tau)
+
+
+def test_numpy_integer_tau_accepted():
+    y = np.zeros(8)
+    y[[7, 6]] = [3.0, 2.0]
+    assert omp(build_identity_hadamard(8), y, np.int64(2)).support.tolist() == [7, 6]
+
+
+def _assert_bit_identical(d, y, tau):
+    """``omp`` and the QR oracle give the same bits, or fail at the same iteration."""
+    try:
+        want = omp_qr(d, y, tau)
+    except SingularSystemError as err:
+        with pytest.raises(SingularSystemError) as exc:
+            omp(d, y, tau)
+        assert exc.value.iteration == err.iteration
+        return
+    got = omp(d, y, tau)
+    assert np.array_equal(got.support, want.support)
+    assert np.array_equal(got.residual_norms, want.residual_norms)
+    assert np.array_equal(got.coefficients, want.coefficients)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda e: st.tuples(st.just(2**e), st.integers(min_value=1, max_value=2**e))
+    ),
+    st.sampled_from([0.0, 1e-3, 1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_omp_bit_identical_to_qr_oracle(m_tau, sigma, seed, zero):
+    m, tau = m_tau
+    if zero:
+        d, y = build_identity_hadamard(m), np.zeros(m)
+    else:
+        d, _, meas = _planted(m, tau, seed, sigma)
+        y = meas.observed
+    _assert_bit_identical(d, y, tau)
+
+
+@pytest.mark.parametrize("tau", [10, 30, 60])
+def test_omp_bit_identical_to_qr_oracle_at_m1024(tau):
+    for seed in range(6):
+        d, _, meas = _planted(1024, tau, seed, sigma=(0.0, 1e-3, 0.1)[seed % 3])
+        _assert_bit_identical(d, meas.observed, tau)
+
+
+def test_omp_call_structure(monkeypatch):
+    d = build_identity_hadamard(64)
+    values = np.zeros(d.n)
+    values[[3, 10, 70, 100]] = [0.9, -0.6, 0.7, -1.0]
+    y = d.matvec(values)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(Dictionary, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("correlate_all", "matvec", "column"):
+        monkeypatch.setattr(Dictionary, name, counted(name))
+    r = omp(d, y, 4)
+    assert sorted(r.support.tolist()) == [3, 10, 70, 100]
+    # One correlation per iteration; only the two Hadamard atoms are built.
+    assert calls == Counter(correlate_all=4, column=2)
 
 
 def test_residual_monotone_and_orthogonal():
