@@ -6,7 +6,6 @@ from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
     bernstein_tail,
-    beta_from_alpha,
     estimate_beta,
     lemma1_tail,
     thm1_condition,
@@ -40,7 +39,6 @@ __all__ = [
     "SweepResult",
     "alpha_from_beta",
     "bernstein_tail",
-    "beta_from_alpha",
     "build_identity_hadamard",
     "count_successes",
     "draw_sparse_signal",

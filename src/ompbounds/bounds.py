@@ -255,17 +255,6 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
     return AlphaBeta(alpha=alpha, valid=alpha > 0)
 
 
-def beta_from_alpha(alpha: float, sigma: float, n: int) -> float:
-    """Forward map ``beta = sigma sqrt(2 (1 + alpha) log n)``."""
-    require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    check_sigma(sigma)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return sigma * math.sqrt(2.0 * (1.0 + alpha) * math.log(n))
-
-
 def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     """Max over ``draws`` unit-variance noise vectors of ``max_j |<A_j, w>|``.
 

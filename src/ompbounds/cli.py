@@ -215,11 +215,6 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # Each worker is a process and the trials are cut into 4 chunks per
-    # worker, so the count is bounded by the machine, not left to the pool.
-    max_workers = os.cpu_count() or 1
-    if not 1 <= args.workers <= max_workers:
-        raise ValueError(f"--workers must lie in [1, {max_workers}], got {args.workers}")
     raw: dict = {}
     if args.config is not None:
         raw.update(_parse_config_file(args.config))

@@ -12,16 +12,19 @@ or degree of parallelism.  The worst-case ``beta`` estimate runs on
 ``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
 never shifts the trials.
 
-A sweep is scheduled as tasks on one executor: the ``beta`` pass first,
-then every point's trial chunks, all submitted before any is waited on, so
-the ``beta`` pass runs alongside the trials.  Results are then collected
-in sweep order.  Neither the schedule nor the chunking changes a result.
+A sweep is one ordered task list, the ``beta`` pass and then every point's
+trial chunks, whose results are taken in that order.  One worker runs each
+task when its result is reached; a process pool is given every task before
+any result is awaited, so the ``beta`` pass runs alongside the trials.
+Neither the schedule nor the chunking changes a result.
 """
 
 import math
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -148,60 +151,6 @@ def _count_successes(
     return count
 
 
-class _DeferredFuture(Future):
-    """A future whose task runs in the calling thread when its result is first asked for."""
-
-    def __init__(self, fn, args, kwargs):
-        super().__init__()
-        self._task = (fn, args, kwargs)
-
-    def result(self, timeout=None):
-        task, self._task = self._task, None
-        if task is not None and self.set_running_or_notify_cancel():
-            fn, args, kwargs = task
-            try:
-                self.set_result(fn(*args, **kwargs))
-            except Exception as err:
-                self.set_exception(err)
-        return super().result(timeout)
-
-
-class _InProcessExecutor(Executor):
-    """Runs each task in the calling process when its result is first asked for.
-
-    One worker takes the same submit-then-collect path as a process pool,
-    and a task whose result is never asked for, such as one queued after a
-    failed trial, never runs.
-    """
-
-    def submit(self, fn, /, *args, **kwargs):
-        return _DeferredFuture(fn, args, kwargs)
-
-
-def _submit_trials(
-    pool: Executor,
-    d: Dictionary,
-    tau: int,
-    s_min: float,
-    s_max: float,
-    sigma: float,
-    trials: int,
-    master_seed: int,
-    param_value: float,
-) -> list[Future]:
-    """Submit trials ``1..trials`` to ``pool`` in chunks; each future yields a success count."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    # Four chunks per core keep the workers busy to the end of a sweep.
-    n_chunks = min(4 * (os.cpu_count() or 1), trials)
-    edges = np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()
-    args = (d, tau, s_min, s_max, sigma, master_seed)
-    return [
-        pool.submit(_count_successes, *args, lo, hi, param_value)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-
-
 def count_successes(
     d: Dictionary,
     tau: int,
@@ -212,19 +161,16 @@ def count_successes(
     master_seed: int,
     *,
     param_value: float = math.nan,
-    pool: Executor | None = None,
 ) -> int:
     """Number of trials ``1..trials`` under ``master_seed`` that recover the support.
 
-    Given a ``pool``, the trials run on it in chunks; the count is the
-    same with or without one.  A singular trial raises
-    :class:`SingularSystemError` naming ``param_value``, the trial and its
-    stream; the first such trial in trial order is the one reported.
+    A singular trial raises :class:`SingularSystemError` naming
+    ``param_value``, the trial and its stream; the first such trial in
+    trial order is the one reported.
     """
-    futures = _submit_trials(
-        pool or _InProcessExecutor(), d, tau, s_min, s_max, sigma, trials, master_seed, param_value
-    )
-    return sum(f.result() for f in futures)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
 
 
 def run_point(
@@ -302,48 +248,61 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     sigma sweep re-estimates it per point while other sweeps share one
     value.
 
-    Schedule: the ``beta`` pass and then every point's trial chunks are
-    submitted to one executor before any result is waited on, so no
-    trial waits for ``beta`` and no point waits for the one before it.
-    ``workers > 1`` uses a process pool; ``workers == 1`` uses an
-    in-process executor that runs each task when its result is first asked
-    for.  Records are then built in sweep order, so the first failure in
-    sweep order is the one raised, whatever finished first; on any failure
-    the chunks not yet started are cancelled.  Every number returned is
-    independent of the schedule and of ``workers``.
+    ``workers`` is an ``int`` in ``[1, os.cpu_count()]``.  The sweep is one
+    ordered task list, the ``beta`` pass and then every point's trial
+    chunks, mapped lazily and in order.  At one worker each task runs in
+    this process when its result is reached, so nothing after a failed
+    trial runs.  At more, every task is submitted to one process pool
+    before any result is awaited, so the ``beta`` pass runs alongside the
+    trials and no point waits for the one before it.  Records are built in
+    sweep order, so the first failure in sweep order is the one raised,
+    whatever finished first; on any exception the chunks not yet started
+    are cancelled.  Every number returned is independent of the schedule
+    and of ``workers``.
     """
+    max_workers = os.cpu_count() or 1
+    # Each worker is a process, so the count is bounded by the machine.  A
+    # bool is an int subclass, and is refused like any other non-int.
+    is_int = isinstance(workers, int) and not isinstance(workers, bool)
+    if not (is_int and 1 <= workers <= max_workers):
+        raise ValueError(f"workers must be an integer in [1, {max_workers}], got {workers!r}")
     d = build_identity_hadamard(cfg.m)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InProcessExecutor()
-    with pool:
-        try:
-            unit_max = pool.submit(
-                unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0)
+    # Four chunks per core keep the workers busy to the end of a sweep.
+    n_chunks = min(4 * max_workers, cfg.trials)
+    edges = np.linspace(1, cfg.trials + 1, n_chunks + 1, dtype=int).tolist()
+    tasks = [partial(unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0))]
+    points = []
+    for i, value in enumerate(cfg.sweep_values):
+        tau, s_min, sigma = cfg.point(value)
+        seed = _point_master_seed(cfg.master_seed, i)
+        args = (d, tau, s_min, cfg.s_max, sigma, seed)
+        tasks += [
+            partial(_count_successes, *args, lo, hi, float(value))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        points.append((value, tau, s_min, sigma))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
+            outcomes = (task() for task in tasks)
+        else:
+            futures = [pool.submit(task) for task in tasks]
+            outcomes = (f.result() for f in futures)
+        unit_max = next(outcomes)
+        return [
+            run_point(
+                d,
+                tau,
+                s_min,
+                cfg.s_max,
+                sigma,
+                cfg.trials,
+                sigma * unit_max,
+                sum(islice(outcomes, n_chunks)),
+                param_value=float(value),
             )
-            points = []
-            for i, value in enumerate(cfg.sweep_values):
-                tau, s_min, sigma = cfg.point(value)
-                seed = _point_master_seed(cfg.master_seed, i)
-                chunks = _submit_trials(
-                    pool, d, tau, s_min, cfg.s_max, sigma, cfg.trials, seed, float(value)
-                )
-                points.append((value, tau, s_min, sigma, chunks))
-            results = []
-            for value, tau, s_min, sigma, chunks in points:
-                successes = sum(f.result() for f in chunks)
-                results.append(
-                    run_point(
-                        d,
-                        tau,
-                        s_min,
-                        cfg.s_max,
-                        sigma,
-                        cfg.trials,
-                        sigma * unit_max.result(),
-                        successes,
-                        param_value=float(value),
-                    )
-                )
-        except BaseException:
+            for value, tau, s_min, sigma in points
+        ]
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-            raise
-    return results

@@ -44,6 +44,11 @@ def fwht_butterfly(x):
     return a
 
 
+def beta_from_alpha(alpha, sigma, n):
+    """Forward map ``beta = sigma sqrt(2 (1 + alpha) log n)``; ``alpha_from_beta`` inverts it."""
+    return sigma * math.sqrt(2.0 * (1.0 + alpha) * math.log(n))
+
+
 def omp_qr(d, y, tau):
     """OMP with an incrementally updated QR factorization of the active set.
 

@@ -2,12 +2,15 @@ import csv
 import io
 import os
 import stat
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from ompbounds import GuaranteeInputs, build_identity_hadamard, cli, run_point, thm2_bound
+from ompbounds import montecarlo
 from ompbounds.cli import CSV_HEADER, main
 from ompbounds.montecarlo import _point_master_seed
 
@@ -392,14 +395,18 @@ def test_sweep_rejects_non_finite_input(tmp_path, sweep_config, capsys, override
     ids=["zero", "negative", "cpu_count_plus_one", "huge"],
 )
 def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monkeypatch, workers):
+    # No case may start a process, least of all the huge one.
     def unreachable(*args, **kwargs):
-        raise AssertionError("run_sweep reached with an out-of-range worker count")
+        raise AssertionError("a process pool was built for an out-of-range worker count")
 
-    monkeypatch.setattr(cli, "run_sweep", unreachable)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", unreachable)
     out = tmp_path / "never.csv"
     argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--workers", str(workers)]
     assert main(argv) == 1
-    assert "--workers must lie in [1, " in _one_line_error(capsys)
+    max_workers = os.cpu_count() or 1
+    assert _one_line_error(capsys) == (
+        f"error: workers must be an integer in [1, {max_workers}], got {workers}"
+    )
     assert not out.exists()
 
 
@@ -520,6 +527,31 @@ def test_sweep_singular_points_report_the_first_at_any_worker_count(tmp_path, ca
     seed = _point_master_seed(0, 0)
     assert lines[0] == lines[1]
     assert f"sweep value 0.5, trial 12 on stream ({seed}, 12): " in lines[0]
+
+
+def test_failed_sweep_cancels_the_chunks_not_started(tmp_path, capsys, monkeypatch):
+    # Threads stand in for the worker processes, so one counter sees every
+    # trial.  Uncancelled, each chunk runs up to its own first singular
+    # trial: 304 of the 600 trials on two cores.  Once point 0's trial 12
+    # fails, only chunks already started may finish (56 calls on two
+    # cores); the sleep keeps the workers from running ahead meanwhile.
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", ThreadPoolExecutor)
+    calls = []
+    real = montecarlo.omp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.005)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    argv = ["sweep", "--out", str(tmp_path / "never.csv"), "--workers", "2"]
+    for item in SINGULAR_TWO_POINTS:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    seed = _point_master_seed(0, 0)
+    assert f"sweep value 0.5, trial 12 on stream ({seed}, 12): " in _one_line_error(capsys)
+    assert len(calls) < 100
 
 
 def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import math
+import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import re
 
 import numpy as np
 import pytest
@@ -43,15 +44,6 @@ def test_low_noise_regression_point():
     assert r.successes == REGRESSION_SUCCESSES
 
 
-def test_parallel_and_serial_results_identical():
-    d = build_identity_hadamard(32)
-    kwargs = dict(param_value=3.0)
-    serial = count_successes(d, 3, 0.5, 1.0, 0.02, 120, 7, **kwargs)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        parallel = count_successes(d, 3, 0.5, 1.0, 0.02, 120, 7, pool=pool, **kwargs)
-    assert serial == parallel
-
-
 def test_run_sweep_deterministic_and_monotone_in_tau():
     cfg = ExperimentConfig(
         m=64,
@@ -76,6 +68,22 @@ def test_run_sweep_deterministic_and_monotone_in_tau():
     probs = [r.empirical_prob for r in a]
     slack = [3 * r.mc_stderr for r in a]
     assert all(p1 >= p2 - s for p1, p2, s in zip(probs, probs[1:], slack))
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.0])
+def test_run_sweep_rejects_bad_worker_counts(monkeypatch, workers):
+    # No case may start a process.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a process pool was built for a bad worker count")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", unreachable)
+    cfg = ExperimentConfig(
+        m=4, sweep="tau", sweep_values=(1,), tau=1, s_min=0.5, s_max=1.0, sigma=0.0,
+        trials=4, beta_draws=1,
+    )
+    message = f"workers must be an integer in [1, {os.cpu_count() or 1}], got {workers!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(cfg, workers=workers)
 
 
 def test_run_sweep_sigma_rescales_beta_per_point():
