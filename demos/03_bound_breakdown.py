@@ -13,38 +13,38 @@ import math
 from ompbounds import (
     GuaranteeInputs,
     RngStream,
-    alpha_from_beta,
     build_identity_hadamard,
     estimate_beta,
-    thm1_condition,
-    thm1_probability,
+    thm1,
     thm2_bound,
 )
 
 m, s_min, s_max, sigma = 1024, 0.5, 1.0, 0.005
 d = build_identity_hadamard(m)
-
 beta = estimate_beta(d, sigma, 10_000, RngStream(0, 0))
-ab = alpha_from_beta(beta, sigma, d.n)
-print(f"m={m}, n={d.n}, mu_max={d.mutual_coherence():.4f}, sigma={sigma}")
-print(f"worst-case beta over 10^4 noise draws: {beta:.5f}  (alpha={ab.alpha:.3f})\n")
 
-print(f"{'tau':>4} {'thm1 cond':>10} {'thm1 prob':>10} {'thm2 prob':>10}")
-for tau in (2, 5, 10, 15, 20, 30, 40, 50):
-    g = GuaranteeInputs(
+
+def inputs(tau):
+    return GuaranteeInputs(
         n=d.n, tau=tau, mu_max=d.mutual_coherence(),
         s_min=s_min, s_max=s_max, sigma=sigma, beta=beta,
     )
-    p1 = thm1_probability(g, ab.alpha) if ab.valid else 0.0
-    b = thm2_bound(g)
-    print(f"{tau:>4} {str(thm1_condition(g)):>10} {p1:>10.4f} {b.probability:>10.4f}")
+
+
+# thm1 reports (condition, probability, alpha, source); alpha comes from
+# beta, sigma and n, so it is the same at every tau.
+taus = (2, 5, 10, 15, 20, 30, 40, 50)
+rows = [(tau, thm1(inputs(tau)), thm2_bound(inputs(tau))) for tau in taus]
+alpha = rows[0][1][2]
+print(f"m={m}, n={d.n}, mu_max={d.mutual_coherence():.4f}, sigma={sigma}")
+print(f"worst-case beta over 10^4 noise draws: {beta:.5f}  (alpha={alpha:.3f})\n")
+
+print(f"{'tau':>4} {'thm1 cond':>10} {'thm1 prob':>10} {'thm2 prob':>10}")
+for tau, (cond1, p1, _, _), b in rows:
+    print(f"{tau:>4} {str(cond1):>10} {p1:>10.4f} {b.probability:>10.4f}")
 
 tau = 15
-g = GuaranteeInputs(
-    n=d.n, tau=tau, mu_max=d.mutual_coherence(),
-    s_min=s_min, s_max=s_max, sigma=sigma, beta=beta,
-)
-b = thm2_bound(g)
+b = thm2_bound(inputs(tau))
 print(f"\nbreakdown at tau={tau}:")
 print(f"  rho        = s_min/2 - beta        = {b.rho:.5f}")
 print(f"  gamma      = mu_max * s_max        = {b.gamma:.5f}")

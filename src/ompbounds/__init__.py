@@ -14,7 +14,7 @@ from .bounds import (
     unit_correlation_max,
 )
 from .dictionary import Dictionary, build_identity_hadamard, fwht
-from .montecarlo import ExperimentConfig, SweepResult, count_successes, run_point, run_sweep
+from .montecarlo import ExperimentConfig, SweepResult, count_successes, run_point, run_sweep, thm1
 from .omp import OmpResult, SingularSystemError, omp, support_match
 from .signals import (
     Measurement,
@@ -51,6 +51,7 @@ __all__ = [
     "run_sweep",
     "support_match",
     "synthesize",
+    "thm1",
     "thm1_condition",
     "thm1_probability",
     "thm2_bound",

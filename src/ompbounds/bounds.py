@@ -60,6 +60,11 @@ class GuaranteeInputs:
         require_finite("beta", self.beta)
         check_magnitudes(self.s_min, self.s_max)
         check_sigma(self.sigma)
+        for name in ("n", "tau"):
+            value = getattr(self, name)
+            # bool is an int subclass; numpy integers pass, as they do in omp.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 1 <= self.tau <= self.n:

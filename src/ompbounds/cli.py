@@ -13,16 +13,9 @@ import tempfile
 from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
-from .bounds import (
-    GuaranteeInputs,
-    alpha_from_beta,
-    estimate_beta,
-    thm1_condition,
-    thm1_probability,
-    thm2_bound,
-)
+from .bounds import GuaranteeInputs, alpha_from_beta, estimate_beta, thm2_bound
 from .dictionary import build_identity_hadamard
-from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep
+from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep, thm1
 from .omp import SingularSystemError
 from .signals import RngStream
 
@@ -67,7 +60,7 @@ def _parse(key: str, kind: type, text: str):
         raise ValueError(f"config key {key!r} expects {kind.__name__}, got {text!r}") from None
 
 
-def _coerce_config(raw: dict, override_keys: frozenset = frozenset()) -> dict:
+def _coerce_config(raw: dict) -> dict:
     """Typed values of the text ``raw``; ``sweep_values`` stays text until the sweep is known."""
     out = {}
     for key, val in raw.items():
@@ -76,11 +69,7 @@ def _coerce_config(raw: dict, override_keys: frozenset = frozenset()) -> dict:
             raise ValueError(f"unknown config key {key!r} (known keys: {known})")
         out[key] = val if key == "sweep_values" else _parse(key, CONFIG_KEYS[key], val)
     if "sigma" in out and "sigma_sq" in out:
-        # The aliases name one knob, so an override of either supersedes
-        # the file's value of the other; same-source duplicates conflict.
-        if ("sigma" in override_keys) == ("sigma_sq" in override_keys):
-            raise ValueError("give either sigma or sigma_sq, not both")
-        out.pop("sigma" if "sigma_sq" in override_keys else "sigma_sq")
+        raise ValueError("give either sigma or sigma_sq, not both")
     if "sigma_sq" in out:
         sq = out.pop("sigma_sq")
         if sq < 0:
@@ -89,8 +78,8 @@ def _coerce_config(raw: dict, override_keys: frozenset = frozenset()) -> dict:
     return out
 
 
-def _build_experiment(raw: dict, seed: int, override_keys: frozenset = frozenset()) -> ExperimentConfig:
-    cfg = _coerce_config(raw, override_keys)
+def _build_experiment(raw: dict, seed: int) -> ExperimentConfig:
+    cfg = _coerce_config(raw)
     sweep = cfg.get("sweep")
     if sweep in SWEEP_KINDS and "sweep_values" in cfg:
         tokens = [t for t in cfg["sweep_values"].split(",") if t.strip()]
@@ -169,20 +158,9 @@ def _cmd_bound(args) -> int:
         sigma=args.sigma,
         beta=args.beta,
     )
-    cond1 = thm1_condition(g)
-    if args.alpha is not None:
-        # A given alpha is an input: thm1_probability rejects it unless
-        # finite and positive.
-        alpha, alpha_note = args.alpha, "given"
-        prob1 = thm1_probability(g, alpha)
-    elif g.sigma > 0 and g.beta > 0:
-        ab = alpha_from_beta(g.beta, g.sigma, g.n)
-        alpha, alpha_note = ab.alpha, "derived" if ab.valid else "derived, invalid"
-        prob1 = thm1_probability(g, alpha) if ab.valid else 0.0
-    else:
-        alpha, alpha_note = None, "undefined"
-        prob1 = 1.0 if cond1 else 0.0
+    # thm2_bound first, as in run_point: it names why a noisy beta = 0 is refused.
     b = thm2_bound(g, tight_lambda=args.tight_lambda)
+    cond1, prob1, alpha, alpha_note = thm1(g, args.alpha)
 
     print(f"thm1_condition={_fmt(cond1)}")
     print(f"thm1_prob={_fmt(prob1)}")
@@ -215,17 +193,17 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw: dict = {}
-    if args.config is not None:
-        raw.update(_parse_config_file(args.config))
-    override_keys = set()
+    raw = {} if args.config is None else _parse_config_file(args.config)
+    overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        raw[key.strip()] = val.strip()
-        override_keys.add(key.strip())
-    cfg = _build_experiment(raw, args.seed, frozenset(override_keys))
+        overrides[key.strip()] = val.strip()
+    if {"sigma", "sigma_sq"} & overrides.keys():
+        # The aliases name one knob: an override of either replaces the file's.
+        raw = {k: v for k, v in raw.items() if k not in ("sigma", "sigma_sq")}
+    cfg = _build_experiment({**raw, **overrides}, args.seed)
     results = run_sweep(cfg, workers=args.workers)
     _write_atomic(args.out, _sweep_csv(cfg, results))
     if args.plot_script is not None:

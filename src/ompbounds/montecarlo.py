@@ -4,13 +4,13 @@ A point runs ``trials`` independent trials: draw a sparse signal, add
 noise, run OMP for exactly ``tau`` iterations, and count the trial as a
 success when the recovered support equals the planted one
 (:func:`count_successes`); :func:`run_point` then puts the success count
-next to both bounds.  Point ``i`` of a sweep draws a 64-bit point seed from
-``SeedSequence((master_seed, 1 + i))`` and its trial ``t`` owns the stream
-``(point_seed, t)`` for ``t = 1..trials``; the outcome is an integer
-success count, so results are bit-identical regardless of execution order
-or degree of parallelism.  The worst-case ``beta`` estimate runs on
-``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
-never shifts the trials.
+next to both bounds, thm1 as :func:`thm1` reports it.  Point ``i`` of a
+sweep draws a 64-bit point seed from ``SeedSequence((master_seed, 1 + i))``
+and its trial ``t = 1..trials`` owns the stream ``(point_seed, t)``; the
+outcome is an integer success count, so results are bit-identical
+regardless of execution order or degree of parallelism.  The worst-case
+``beta`` estimate runs on ``(master_seed, 0)``, which no trial stream can
+equal, so ``beta_draws`` never shifts the trials.
 
 A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks, whose results are taken in that order.  One worker runs each
@@ -42,6 +42,13 @@ from .omp import SingularSystemError, omp, support_match
 from .signals import RngStream, check_magnitudes, check_sigma, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
+
+
+def _check_count(name: str, count) -> None:
+    # A count reaches the CSV: a float, a bool (an int subclass) or a numpy
+    # integer would be written there as a float or a boolean.
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +95,7 @@ class ExperimentConfig:
             check_sigma(sigma)
         for name in ("trials", "beta_draws"):
             count = getattr(self, name)
-            # bool is an int subclass; a float or bool count would reach the CSV.
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+            _check_count(name, count)
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
 
@@ -173,6 +178,25 @@ def count_successes(
     return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
 
 
+def thm1(g: GuaranteeInputs, alpha: float | None = None) -> tuple[bool, float, float | None, str]:
+    """thm1 as reported at one point: ``(condition, probability, alpha, source)``.
+
+    ``source`` is ``"given"`` for a given ``alpha``, which must be finite and
+    positive; else ``"undefined"`` at ``sigma = 0``, whose noiseless limit
+    leaves the condition alone; else ``"derived"`` from ``beta > 0``, or
+    ``"derived, invalid"`` with probability 0 when that alpha is not positive.
+    """
+    condition = thm1_condition(g)
+    if alpha is not None:
+        return condition, thm1_probability(g, alpha), alpha, "given"
+    if g.sigma == 0.0:
+        return condition, 1.0 if condition else 0.0, None, "undefined"
+    ab = alpha_from_beta(g.beta, g.sigma, g.n)
+    if not ab.valid:
+        return condition, 0.0, ab.alpha, "derived, invalid"
+    return condition, thm1_probability(g, ab.alpha), ab.alpha, "derived"
+
+
 def run_point(
     d: Dictionary,
     tau: int,
@@ -188,10 +212,12 @@ def run_point(
     """The record of one parameter point: ``successes`` of ``trials``, plus both bounds.
 
     ``beta`` is the (externally estimated) worst-case noise correlation;
-    both theoretical columns are evaluated with it.  The success count
-    comes from :func:`count_successes` or, in a sweep, from the trials
-    that :func:`run_sweep` schedules.
+    both theoretical columns are evaluated with it, thm1 by :func:`thm1`.
+    The success count comes from :func:`count_successes` or, in a sweep,
+    from the trials that :func:`run_sweep` schedules.
     """
+    _check_count("trials", trials)
+    _check_count("successes", successes)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -208,14 +234,7 @@ def run_point(
         beta=beta,
     )
     breakdown = thm2_bound(g)
-    cond1 = thm1_condition(g)
-    if sigma == 0.0:
-        # Noiseless limit: the probability factor tends to 1, leaving the
-        # sharp condition (with beta = 0) as the whole guarantee.
-        prob1 = 1.0 if cond1 else 0.0
-    else:
-        ab = alpha_from_beta(beta, sigma, d.n)
-        prob1 = thm1_probability(g, ab.alpha) if ab.valid else 0.0
+    cond1, prob1, _, _ = thm1(g)
     return SweepResult(
         param_value=float(param_value),
         tau=int(tau),

@@ -382,6 +382,17 @@ def test_guarantee_inputs_validation():
 
 
 @pytest.mark.parametrize(
+    "field,value", [("n", 2048.5), ("n", 2048.0), ("tau", 2.5), ("tau", 3.0), ("tau", True)]
+)
+def test_guarantee_inputs_n_and_tau_are_integers(field, value):
+    # A fractional n or tau changed the bounds without a word; numpy
+    # integers pass, as they do in omp.
+    assert _inputs(n=np.int64(2048), tau=np.int32(3)).tau == 3
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        _inputs(**{field: value})
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: thm1_probability(_inputs(tau=1, beta=0.0), math.nan),

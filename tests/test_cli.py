@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from ompbounds import GuaranteeInputs, build_identity_hadamard, cli, run_point, thm2_bound
+from ompbounds import GuaranteeInputs, build_identity_hadamard, cli, run_point, thm1, thm2_bound
 from ompbounds import montecarlo
 from ompbounds.cli import CSV_HEADER, main
 from ompbounds.montecarlo import _point_master_seed
@@ -566,31 +566,91 @@ def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tau", [1, 3, 5])
-@pytest.mark.parametrize(
-    "sigma,beta",
-    [(0.0, 0.0), (0.0, 0.05), (0.01, 0.02), (0.01, 0.05), (0.01, 0.2), (0.01, 0.0)],
-    ids=["noiseless", "noiseless_beta", "alpha_invalid", "alpha_valid", "alpha_large", "beta_zero"],
-)
-def test_thm1_same_in_sweep_point_and_bound(capsys, tau, sigma, beta):
-    # run_point and `ompbounds bound` each evaluate thm1; pin them together.
-    # At n=128 the derived alpha is positive iff beta > 3.11 sigma; the
-    # condition fails for tau=5 always and for tau=3 at beta=0.2.
+# thm1 at n=128 (m=64, mu_max=1/8, s_min=0.5): (sigma, beta), then
+# (condition, probability, source) at tau = 1, 3 and 5, as run_point and
+# `ompbounds bound` reported them before both called thm1.  The derived
+# alpha is positive iff beta > 3.11 sigma; the condition fails for tau=5
+# always and for tau=3 at beta=0.2.  A noisy point with beta = 0 is refused.
+_UNDEFINED = ((True, 1.0, "undefined"), (True, 1.0, "undefined"), (False, 0.0, "undefined"))
+_VALID_P = 0.9999238799608456
+THM1_TABLE = {
+    "noiseless": ((0.0, 0.0), _UNDEFINED),
+    "noiseless_beta": ((0.0, 0.05), _UNDEFINED),
+    "alpha_invalid": (
+        (0.01, 0.02),
+        ((True, 0.0, "derived, invalid"), (True, 0.0, "derived, invalid"),
+         (False, 0.0, "derived, invalid")),
+    ),
+    "alpha_valid": (
+        (0.01, 0.05),
+        ((True, _VALID_P, "derived"), (True, _VALID_P, "derived"), (False, 0.0, "derived")),
+    ),
+    "alpha_large": (
+        (0.01, 0.2),
+        ((True, 1.0, "derived"), (False, 0.0, "derived"), (False, 0.0, "derived")),
+    ),
+    "beta_zero": ((0.01, 0.0), None),
+}
+
+
+def _thm1_point(tau, sigma, beta, *extra):
+    """The inputs and the `bound` argv of one thm1 table point at n=128."""
     d = build_identity_hadamard(64)
+    g = GuaranteeInputs(
+        n=d.n, tau=tau, mu_max=d.mutual_coherence(), s_min=0.5, s_max=1.0, sigma=sigma, beta=beta
+    )
     argv = [
         "bound", "--n", "128", "--tau", str(tau), "--mu-max", repr(d.mutual_coherence()),
-        "--s-min", "0.5", "--s-max", "1", "--sigma", repr(sigma), "--beta", repr(beta),
+        "--s-min", "0.5", "--s-max", "1", "--sigma", repr(sigma), "--beta", repr(beta), *extra,
     ]
-    if sigma > 0 and beta == 0:
-        # Noise with no correlation bound: both refuse the point.
-        with pytest.raises(ValueError):
+    return d, g, argv
+
+
+@pytest.mark.parametrize("tau", [1, 3, 5])
+@pytest.mark.parametrize("point", THM1_TABLE)
+def test_thm1_same_in_sweep_point_and_bound(capsys, tau, point):
+    # thm1, a sweep point and `ompbounds bound` each report the table's value.
+    (sigma, beta), rows = THM1_TABLE[point]
+    d, g, argv = _thm1_point(tau, sigma, beta)
+    if rows is None:
+        with pytest.raises(ValueError, match="^beta must be positive, got 0.0$"):
+            thm1(g)
+        with pytest.raises(ValueError, match="^beta must be positive when sigma > 0$"):
             run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
         assert main(argv) == 1
+        assert _one_line_error(capsys) == "error: beta must be positive when sigma > 0"
         return
+    cond, prob, source = rows[(1, 3, 5).index(tau)]
+    cond1, prob1, alpha, source1 = thm1(g)
+    assert (cond1, prob1, source1) == (cond, prob, source)
     r = run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
+    assert (r.thm1_condition, r.thm1_prob) == (cond, prob)
     assert main(argv) == 0
     got = _kv(_lines(capsys))
-    assert (got["thm1_condition"], float(got["thm1_prob"])) == (
-        "true" if r.thm1_condition else "false",
-        r.thm1_prob,
-    )
+    assert (got["thm1_condition"], float(got["thm1_prob"])) == ("true" if cond else "false", prob)
+    assert got["alpha"] == ("undefined" if alpha is None else f"{alpha!r} ({source})")
+
+
+@pytest.mark.parametrize(
+    "tau,sigma,beta,cond,prob",
+    [
+        (1, 0.01, 0.05, True, 0.9985850589525879),
+        (1, 0.0, 0.0, True, 0.9985850589525879),
+        (5, 0.01, 0.05, False, 0.0),
+    ],
+    ids=["noisy", "noiseless", "condition_fails"],
+)
+def test_thm1_given_alpha(capsys, tau, sigma, beta, cond, prob):
+    # A given alpha is used as is, noiseless or not.
+    _, g, argv = _thm1_point(tau, sigma, beta, "--alpha", "1.0")
+    assert thm1(g, 1.0) == (cond, prob, 1.0, "given")
+    assert main(argv) == 0
+    got = _kv(_lines(capsys))
+    assert (float(got["thm1_prob"]), got["alpha"]) == (prob, "1.0 (given)")
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_thm1_rejects_given_alpha_not_positive(alpha):
+    _, g, _ = _thm1_point(1, 0.01, 0.05)
+    with pytest.raises(ValueError, match=f"^alpha must be positive, got {alpha}$"):
+        thm1(g, alpha)

@@ -44,6 +44,25 @@ def test_low_noise_regression_point():
     assert r.successes == REGRESSION_SUCCESSES
 
 
+@pytest.mark.parametrize(
+    "trials,successes,bad",
+    [
+        (40.0, 12, "trials"),
+        (40, 12.5, "successes"),
+        (True, 0, "trials"),
+        (40, np.int64(12), "successes"),
+    ],
+    ids=["float_trials", "float_successes", "bool_trials", "numpy_successes"],
+)
+def test_run_point_counts_are_integers(trials, successes, bad):
+    # Both counts reach the CSV, where only a Python int is written as one.
+    d = build_identity_hadamard(64)
+    value = {"trials": trials, "successes": successes}[bad]
+    message = f"{bad} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_point(d, 2, 0.5, 1.0, 0.01, trials, 0.05, successes)
+
+
 def test_run_sweep_deterministic_and_monotone_in_tau():
     cfg = ExperimentConfig(
         m=64,
