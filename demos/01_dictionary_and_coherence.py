@@ -30,7 +30,8 @@ t0 = time.perf_counter()
 fast = d.correlate_all(r)
 t_fast = time.perf_counter() - t0
 
-dense = d.to_dense()
+# The dense matrix, one column per atom: A @ e_j for each basis vector e_j.
+dense = np.column_stack([d.matvec(e) for e in np.eye(d.n)])
 t0 = time.perf_counter()
 slow = dense.T @ r
 t_dense = time.perf_counter() - t0

@@ -23,7 +23,8 @@ The second factor of ``thm2`` comes from a Bernstein tail bound on the
 off-support correlation statistic ``|<A_j, A s + w>|``; the generic
 inequality and that tail are exposed as ``bernstein_tail`` and
 ``lemma1_tail``.  ``beta`` itself is measured empirically in the worst
-case, as the maximum of ``|<A_j, w>|`` over many noise draws.
+case, as the maximum of ``|<A_j, w>|`` over many noise draws.  Every real
+input is finite, and ``n``, ``tau``, ``n_terms`` and ``draws`` are integers.
 """
 
 import math
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_magnitudes, check_sigma, require_finite, require_int
 from .dictionary import Dictionary
-from .signals import RngStream, check_magnitudes, check_sigma, require_finite
+from .signals import RngStream
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
@@ -45,7 +47,7 @@ _BETA_BATCH_BYTES = 2**18
 
 @dataclass(frozen=True)
 class GuaranteeInputs:
-    """Scalar parameter bundle shared by both guarantees."""
+    """Scalar parameter bundle shared by both guarantees, with ``2 <= n`` and ``1 <= tau <= n``."""
 
     n: int
     tau: int
@@ -60,15 +62,8 @@ class GuaranteeInputs:
         require_finite("beta", self.beta)
         check_magnitudes(self.s_min, self.s_max)
         check_sigma(self.sigma)
-        for name in ("n", "tau"):
-            value = getattr(self, name)
-            # bool is an int subclass; numpy integers pass, as they do in omp.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 1 <= self.tau <= self.n:
-            raise ValueError(f"tau must lie in [1, n={self.n}], got {self.tau}")
+        require_int("n", self.n, 2)
+        require_int("tau", self.tau, 1, self.n)
         if not 0.0 < self.mu_max < 1.0:
             raise ValueError(f"mu_max must lie in (0, 1), got {self.mu_max}")
         if self.beta < 0:
@@ -126,8 +121,7 @@ def bernstein_tail(delta: float, n_terms: int, nu: float, c: float) -> float:
         raise ValueError(f"delta must be positive, got {delta}")
     if nu < 0 or c < 0 or (nu == 0 and c == 0):
         raise ValueError(f"need nu, c >= 0 and not both zero, got nu={nu}, c={c}")
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
+    require_int("n_terms", n_terms, 0)
     denom = 2.0 * (n_terms * nu + c * delta / 3.0)
     if denom == 0.0:
         return 0.0
@@ -254,8 +248,7 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
         raise ValueError(f"beta must be positive, got {beta}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    require_int("n", n, 2)
     alpha = beta**2 / (2.0 * sigma**2 * math.log(n)) - 1.0
     return AlphaBeta(alpha=alpha, valid=alpha > 0)
 
@@ -274,8 +267,7 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     ``sigma`` times this value, so one pass serves every noise level under
     the same stream.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    require_int("draws", draws, 1)
     g = rng.generator()
     rows = max(1, min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 * d.m)))
     noise = np.empty((rows, d.m))

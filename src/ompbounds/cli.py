@@ -3,6 +3,7 @@
 Sweep output is CSV with a fixed header; reals are printed in shortest
 round-trip decimal and booleans as ``true``/``false``, so identical
 configs and seeds produce byte-identical files at any parallelism level.
+An input that breaks a rule of ``checks`` exits 1 with one ``error:`` line.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
 from .bounds import GuaranteeInputs, alpha_from_beta, estimate_beta, thm2_bound
+from .checks import require_int
 from .dictionary import build_identity_hadamard
 from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep, thm1
 from .omp import SingularSystemError
@@ -183,7 +185,7 @@ def _cmd_beta(args) -> int:
     print(f"sigma={_fmt(args.sigma)}")
     print(f"draws={args.draws}")
     print(f"beta={_fmt(beta)}")
-    if args.sigma > 0 and beta > 0:
+    if args.sigma > 0:
         ab = alpha_from_beta(beta, args.sigma, d.n)
         print(f"alpha={_fmt(ab.alpha)}")
         print(f"alpha_valid={_fmt(ab.valid)}")
@@ -264,8 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+        require_int("--seed", getattr(args, "seed", 0), 0)
         return args.func(args)
     except (ValueError, OSError, SingularSystemError, BrokenExecutor) as err:
         print(f"error: {err}", file=sys.stderr)

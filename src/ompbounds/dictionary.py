@@ -7,8 +7,9 @@ Kronecker product of two small Sylvester matrices with ``p q = m``), only
 the two factors are kept: atoms are outer products of one row of each, and
 correlations and matrix-vector products are two small BLAS matrix
 products, ``H_p @ X @ H_q`` with ``X`` the vector reshaped to ``(p, q)``.
-It is the only dictionary the library builds; a dense reference for tests
-is ``tests/oracles.py::DenseDictionary``.
+It is the only dictionary the library builds, and it is never materialized:
+tests build its dense form with ``tests/oracles.py::dense_identity_hadamard``
+and other dictionaries with ``tests/oracles.py::DenseDictionary``.
 """
 
 import functools
@@ -16,9 +17,7 @@ import math
 
 import numpy as np
 
-
-def _is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
+from .checks import check_m, require_int
 
 
 @functools.cache
@@ -33,7 +32,7 @@ def _sylvester(n: int) -> np.ndarray:
 
 def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(H_p, H_q)`` with ``H_n = H_p (x) H_q``, ``p = 2^floor(log2(n)/2)``, ``q = n/p``."""
-    if n == 0 or not _is_power_of_two(n):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"fwht length must be a power of two, got {n}")
     p = 1 << ((n.bit_length() - 1) // 2)
     return _sylvester(p), _sylvester(n // p)
@@ -81,12 +80,6 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return _kronecker_apply(mats, hp, hq).reshape(a.shape)
 
 
-def check_m(m) -> None:
-    """Raise ``ValueError`` unless ``m`` is an integer power of two ``>= 2``."""
-    if not isinstance(m, (int, np.integer)) or not _is_power_of_two(int(m)) or m < 2:
-        raise ValueError(f"m must be a power of two >= 2, got {m!r}")
-
-
 class Dictionary:
     """The ``m x 2m`` identity-Hadamard dictionary ``[I, H/sqrt(m)]``.
 
@@ -122,9 +115,8 @@ class Dictionary:
         return (build_identity_hadamard, (self.m,))
 
     def column(self, j: int) -> np.ndarray:
-        """Return atom ``j`` (0-based) as a length-``m`` unit vector."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"column index {j} out of range [0, {self.n})")
+        """Return atom ``j``, an integer in ``[0, n)``, as a length-``m`` unit vector."""
+        require_int("j", j, 0, self.n - 1)
         if j < self.m:
             e = np.zeros(self.m)
             e[j] = 1.0
@@ -171,11 +163,6 @@ class Dictionary:
         hp, hq = self._hp_scaled, self._hq
         hadamard = _kronecker_apply(s[self.m :].reshape(hp.shape[0], hq.shape[0]), hp, hq)
         return s[: self.m] + hadamard.reshape(self.m)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full ``(m, n)`` matrix (intended for small m)."""
-        # Entry-wise the same products as column(), hence bit-identical.
-        return np.hstack([np.eye(self.m), np.kron(self._hp_scaled, self._hq)])
 
     def mutual_coherence(self) -> float:
         """Maximum absolute inner product over distinct atoms: exactly ``1/sqrt(m)``."""

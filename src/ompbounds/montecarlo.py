@@ -16,7 +16,8 @@ A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks, whose results are taken in that order.  One worker runs each
 task when its result is reached; a process pool is given every task before
 any result is awaited, so the ``beta`` pass runs alongside the trials.
-Neither the schedule nor the chunking changes a result.
+Neither the schedule nor the chunking changes a result.  Counts, ``tau``,
+seeds and ``workers`` may be numpy integers; a record stores counts as ``int``.
 """
 
 import math
@@ -31,24 +32,17 @@ import numpy as np
 from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
-    require_finite,
     thm1_condition,
     thm1_probability,
     thm2_bound,
     unit_correlation_max,
 )
-from .dictionary import Dictionary, build_identity_hadamard, check_m
+from .checks import check_m, check_magnitudes, check_sigma, require_finite, require_int
+from .dictionary import Dictionary, build_identity_hadamard
 from .omp import SingularSystemError, omp, support_match
-from .signals import RngStream, check_magnitudes, check_sigma, draw_sparse_signal, synthesize
+from .signals import RngStream, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
-
-
-def _check_count(name: str, count) -> None:
-    # A count reaches the CSV: a float, a bool (an int subclass) or a numpy
-    # integer would be written there as a float or a boolean.
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -83,21 +77,16 @@ class ExperimentConfig:
         require_finite("sweep_values", *vals)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep_values must be strictly increasing")
-        taus = (self.tau, *vals) if self.sweep == "tau" else (self.tau,)
-        if not all(float(t).is_integer() for t in taus):
-            raise ValueError(f"tau values must be integers, got {taus}")
         # The fixed point and every swept point obey the same rules.
+        for tau in (self.tau, *vals) if self.sweep == "tau" else (self.tau,):
+            require_int("tau", tau, 1, self.m)
         points = [(self.tau, self.s_min, self.sigma)] + [self.point(v) for v in vals]
-        for tau, s_min, sigma in points:
-            if not 1 <= tau <= self.m:
-                raise ValueError(f"need 1 <= tau <= {self.m}, got {tau}")
+        for _, s_min, sigma in points:
             check_magnitudes(s_min, self.s_max)
             check_sigma(sigma)
-        for name in ("trials", "beta_draws"):
-            count = getattr(self, name)
-            _check_count(name, count)
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1, got {count}")
+        require_int("trials", self.trials, 1)
+        require_int("beta_draws", self.beta_draws, 1)
+        require_int("master_seed", self.master_seed, 0)
 
     def point(self, value) -> tuple[int, float, float]:
         """``(tau, s_min, sigma)`` at one sweep value."""
@@ -173,8 +162,7 @@ def count_successes(
     ``param_value``, the trial and its stream; the first such trial in
     trial order is the one reported.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_int("trials", trials, 1)
     return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
 
 
@@ -216,12 +204,9 @@ def run_point(
     The success count comes from :func:`count_successes` or, in a sweep,
     from the trials that :func:`run_sweep` schedules.
     """
-    _check_count("trials", trials)
-    _check_count("successes", successes)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"need 0 <= successes <= trials={trials}, got {successes}")
+    require_int("trials", trials, 1)
+    require_int("successes", successes, 0, trials)
+    trials, successes = int(trials), int(successes)
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     g = GuaranteeInputs(
@@ -267,7 +252,7 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     sigma sweep re-estimates it per point while other sweeps share one
     value.
 
-    ``workers`` is an ``int`` in ``[1, os.cpu_count()]``.  The sweep is one
+    ``workers`` is an integer in ``[1, os.cpu_count()]``.  The sweep is one
     ordered task list, the ``beta`` pass and then every point's trial
     chunks, mapped lazily and in order.  At one worker each task runs in
     this process when its result is reached, so nothing after a failed
@@ -280,11 +265,8 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     and of ``workers``.
     """
     max_workers = os.cpu_count() or 1
-    # Each worker is a process, so the count is bounded by the machine.  A
-    # bool is an int subclass, and is refused like any other non-int.
-    is_int = isinstance(workers, int) and not isinstance(workers, bool)
-    if not (is_int and 1 <= workers <= max_workers):
-        raise ValueError(f"workers must be an integer in [1, {max_workers}], got {workers!r}")
+    # Each worker is a process, so the count is bounded by the machine.
+    require_int("workers", workers, 1, max_workers)
     d = build_identity_hadamard(cfg.m)
     # Four chunks per core keep the workers busy to the end of a sweep.
     n_chunks = min(4 * max_workers, cfg.trials)

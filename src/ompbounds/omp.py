@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_int
 from .dictionary import Dictionary
 
 # A candidate atom whose component orthogonal to the active span falls
@@ -83,19 +84,16 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
 
     Raises ``ValueError`` for a ``y`` of the wrong shape or with a NaN or
     infinite entry, and for a ``tau`` that is not an integer in
-    ``1..min(m, n)``; ``SingularSystemError`` if the active set becomes
-    numerically rank deficient.
+    ``[1, min(m, n)]`` (a bool or a float is refused); raises
+    ``SingularSystemError`` if the active set becomes numerically rank
+    deficient.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (d.m,):
         raise ValueError(f"measurement shape {y.shape} != ({d.m},)")
     if not np.isfinite(y).all():
         raise ValueError("measurement y must be finite, got a NaN or infinite entry")
-    # bool is an int subclass, so it needs its own test.
-    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
-        raise ValueError(f"tau must be an integer, got {tau!r}")
-    if not 1 <= tau <= min(d.m, d.n):
-        raise ValueError(f"need 1 <= tau <= {min(d.m, d.n)}, got {tau}")
+    require_int("tau", tau, 1, min(d.m, d.n))
 
     # The orthonormal basis of the active span, one row per selected atom,
     # so every projection below is a contiguous matrix-vector product.

@@ -5,42 +5,17 @@ magnitudes are i.i.d. uniform on ``[s_min, s_max]`` with independent
 random signs, and the measurement adds white Gaussian noise of standard
 deviation ``sigma``.  A trial draws its signal and then its noise from one
 ``numpy.random.Generator``, built from the trial's keyed :class:`RngStream`,
-so that trials are reproducible and independent of scheduling.
+so that trials are reproducible and independent of scheduling.  The
+rules on ``tau``, the magnitudes and ``sigma`` are those of ``checks``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
 
+from .checks import check_magnitudes, check_sigma, require_int
 from .dictionary import Dictionary
-
-
-def require_finite(name: str, *values) -> None:
-    """Raise ``ValueError`` if any of ``values``, all named ``name``, is NaN or infinite.
-
-    A NaN compares false against every bound, so range checks alone let it
-    through and it surfaces later as a confident-looking wrong number.
-    """
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def check_magnitudes(s_min: float, s_max: float) -> None:
-    """Raise ``ValueError`` unless ``0 < s_min <= s_max``, both finite."""
-    require_finite("s_min", s_min)
-    require_finite("s_max", s_max)
-    if not 0.0 < s_min <= s_max:
-        raise ValueError(f"need 0 < s_min <= s_max, got {s_min}, {s_max}")
-
-
-def check_sigma(sigma: float) -> None:
-    """Raise ``ValueError`` unless the noise deviation ``sigma`` is finite and nonnegative."""
-    require_finite("sigma", sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +72,10 @@ class Measurement:
 def draw_support(rng: Generator, n: int, tau: int) -> np.ndarray:
     """First ``tau`` indices of a uniform random permutation of ``0..n-1``.
 
-    Every size-``tau`` subset is equally likely.
+    Every size-``tau`` subset is equally likely; ``tau`` is an integer in
+    ``[0, n]``.
     """
-    if not 0 <= tau <= n:
-        raise ValueError(f"need 0 <= tau <= n, got tau={tau}, n={n}")
+    require_int("tau", tau, 0, n)
     return rng.permutation(n)[:tau]
 
 

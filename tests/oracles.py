@@ -7,8 +7,9 @@ The OMP references share only the dictionary's correlations and atoms with
 the library: ``omp_qr`` is the incremental-QR solver with every atom built
 and multiplied out, ``omp_direct`` re-solves least squares from scratch
 every iteration, and the exhaustive search tries every support.
-``DenseDictionary`` stands in for the library's identity-Hadamard
-dictionary where a test needs a matrix that dictionary cannot be.
+``dense_identity_hadamard`` builds the library's dictionary as a dense
+matrix from the butterfly, and ``DenseDictionary`` stands in for that
+dictionary where a test needs a matrix it cannot be.
 """
 
 import math
@@ -42,6 +43,11 @@ def fwht_butterfly(x):
         b[..., 1, :] = top - b[..., 1, :]
         h *= 2
     return a
+
+
+def dense_identity_hadamard(m):
+    """The ``(m, 2m)`` matrix ``[I, H/sqrt(m)]``, with ``H`` from the butterfly."""
+    return np.hstack([np.eye(m), fwht_butterfly(np.eye(m)) * (1.0 / math.sqrt(m))])
 
 
 def beta_from_alpha(alpha, sigma, n):

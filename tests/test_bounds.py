@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -388,7 +389,9 @@ def test_guarantee_inputs_n_and_tau_are_integers(field, value):
     # A fractional n or tau changed the bounds without a word; numpy
     # integers pass, as they do in omp.
     assert _inputs(n=np.int64(2048), tau=np.int32(3)).tau == 3
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+    bounds = {"n": ">= 2", "tau": "in [1, 2048]"}[field]
+    message = f"{field} must be an integer {bounds}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _inputs(**{field: value})
 
 

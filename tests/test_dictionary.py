@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from ompbounds import build_identity_hadamard, fwht
-from oracles import DenseDictionary, fwht_butterfly
+from oracles import DenseDictionary, dense_identity_hadamard, fwht_butterfly
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -37,7 +37,7 @@ def test_coherence_closed_form(m):
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_coherence_brute_force_agrees(m):
     d = build_identity_hadamard(m)
-    brute = DenseDictionary(d.to_dense()).mutual_coherence()
+    brute = DenseDictionary(dense_identity_hadamard(d.m)).mutual_coherence()
     assert brute == pytest.approx(d.mutual_coherence(), abs=1e-14)
 
 
@@ -97,7 +97,7 @@ def test_correlate_zero_vector():
 def test_correlate_matches_dense(m):
     d = build_identity_hadamard(m)
     r = np.random.default_rng(m).normal(size=m)
-    dense = d.to_dense().T @ r
+    dense = dense_identity_hadamard(d.m).T @ r
     fast = d.correlate_all(r)
     np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=1e-10 * np.abs(dense).max())
 
@@ -135,7 +135,7 @@ def test_correlate_rejects_bad_out(buf):
 def test_unit_atoms_are_the_leading_standard_basis():
     d = build_identity_hadamard(16)
     assert d.unit_atoms == d.m
-    np.testing.assert_array_equal(d.to_dense()[:, : d.unit_atoms], np.eye(d.m))
+    np.testing.assert_array_equal(dense_identity_hadamard(d.m)[:, : d.unit_atoms], np.eye(d.m))
     assert DenseDictionary(np.eye(4)).unit_atoms == 0
 
 
@@ -158,7 +158,8 @@ def test_correlate_length_mismatch():
 def test_matvec_matches_dense():
     d = build_identity_hadamard(32)
     s = np.random.default_rng(1).normal(size=64)
-    np.testing.assert_allclose(d.matvec(s), d.to_dense() @ s, rtol=1e-12, atol=1e-12)
+    dense = dense_identity_hadamard(d.m)
+    np.testing.assert_allclose(d.matvec(s), dense @ s, rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
@@ -193,8 +194,9 @@ def test_fwht_matches_butterfly_oracle(log2n, lead, seed):
 
 @pytest.mark.parametrize("m", [2, 8, 2048])
 def test_columns_bit_identical_to_dense(m):
+    # The oracle builds H with the butterfly, which shares no code with column().
     d = build_identity_hadamard(m)
-    dense = d.to_dense()
+    dense = dense_identity_hadamard(d.m)
     for j in range(d.n):
         assert np.array_equal(d.column(j), dense[:, j]), j
 

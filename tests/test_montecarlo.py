@@ -14,7 +14,7 @@ from ompbounds import (
     run_point,
     run_sweep,
 )
-from ompbounds import montecarlo
+from ompbounds import cli, montecarlo
 from oracles import DenseDictionary
 
 # Pinned on first computation (m=1024, tau=20, sigma=1e-3, seed 123): all
@@ -50,17 +50,29 @@ def test_low_noise_regression_point():
         (40.0, 12, "trials"),
         (40, 12.5, "successes"),
         (True, 0, "trials"),
-        (40, np.int64(12), "successes"),
     ],
-    ids=["float_trials", "float_successes", "bool_trials", "numpy_successes"],
+    ids=["float_trials", "float_successes", "bool_trials"],
 )
 def test_run_point_counts_are_integers(trials, successes, bad):
     # Both counts reach the CSV, where only a Python int is written as one.
     d = build_identity_hadamard(64)
     value = {"trials": trials, "successes": successes}[bad]
-    message = f"{bad} must be an integer, got {value!r}"
+    bounds = {"trials": ">= 1", "successes": "in [0, 40]"}[bad]
+    message = f"{bad} must be an integer {bounds}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_point(d, 2, 0.5, 1.0, 0.01, trials, 0.05, successes)
+
+
+def test_numpy_trials_write_the_same_csv():
+    # run_point stores its counts as int; a numpy count stored as it is
+    # would reach the CSV's integer columns as "20.0".
+    base = dict(m=16, sweep="tau", sweep_values=(1, 3), tau=1, s_min=0.5, s_max=1.0,
+                sigma=0.05, beta_draws=50, master_seed=2)
+    texts = []
+    for trials in (20, np.int64(20)):
+        cfg = ExperimentConfig(**base, trials=trials)
+        texts.append(cli._sweep_csv(cfg, run_sweep(cfg)).encode())
+    assert texts[0] == texts[1]
 
 
 def test_run_sweep_deterministic_and_monotone_in_tau():
@@ -148,7 +160,6 @@ def test_run_sweep_sigma_rescales_beta_per_point():
         dict(sweep="s_min", sweep_values=(0.5,), tau=2.5),
         dict(trials=20.0),
         dict(trials=True),
-        dict(trials=np.int64(20)),
         dict(beta_draws=10.0),
         dict(beta_draws=True),
     ],
@@ -175,7 +186,7 @@ def test_config_validation(kw):
 def test_config_count_type_error_names_its_field(field):
     # Unchecked, a float count reached the CSV's integer column as "20.0".
     base = dict(m=64, sweep="tau", sweep_values=(1, 2), tau=1, s_min=0.5, s_max=1.0, sigma=0.01)
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 20.0$"):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got 20.0$"):
         ExperimentConfig(**base, **{field: 20.0})
 
 
