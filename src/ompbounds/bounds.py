@@ -24,7 +24,9 @@ off-support correlation statistic ``|<A_j, A s + w>|``; the generic
 inequality and that tail are exposed as ``bernstein_tail`` and
 ``lemma1_tail``.  ``beta`` itself is measured empirically in the worst
 case, as the maximum of ``|<A_j, w>|`` over many noise draws.  Every real
-input is finite, and ``n``, ``tau``, ``n_terms`` and ``draws`` are integers.
+input passes ``checks.require_real`` (a finite int or float, never a bool,
+in the range its formula needs), and ``n``, ``tau``, ``n_terms`` and
+``draws`` pass ``checks.require_int``.
 """
 
 import math
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_magnitudes, check_sigma, require_finite, require_int
+from .checks import check_magnitudes, check_sigma, require_int, require_real
 from .dictionary import Dictionary
 from .signals import RngStream
 
@@ -58,16 +60,12 @@ class GuaranteeInputs:
     beta: float
 
     def __post_init__(self):
-        require_finite("mu_max", self.mu_max)
-        require_finite("beta", self.beta)
+        require_real("mu_max", self.mu_max, gt=0, lt=1)
+        require_real("beta", self.beta, ge=0)
         check_magnitudes(self.s_min, self.s_max)
         check_sigma(self.sigma)
         require_int("n", self.n, 2)
         require_int("tau", self.tau, 1, self.n)
-        if not 0.0 < self.mu_max < 1.0:
-            raise ValueError(f"mu_max must lie in (0, 1), got {self.mu_max}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,11 @@ def bernstein_tail(delta: float, n_terms: int, nu: float, c: float) -> float:
 
         Pr{ |sum x| >= delta } <= 2 exp(-delta^2 / (2 (n_terms nu + c delta / 3)))
     """
-    require_finite("delta", delta)
-    require_finite("nu", nu)
-    require_finite("c", c)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if nu < 0 or c < 0 or (nu == 0 and c == 0):
-        raise ValueError(f"need nu, c >= 0 and not both zero, got nu={nu}, c={c}")
+    require_real("delta", delta, gt=0)
+    require_real("nu", nu, ge=0)
+    require_real("c", c, ge=0)
+    if nu == 0 and c == 0:
+        raise ValueError("nu and c must not both be zero")
     require_int("n_terms", n_terms, 0)
     denom = 2.0 * (n_terms * nu + c * delta / 3.0)
     if denom == 0.0:
@@ -138,12 +134,8 @@ def lemma1_tail(xi: float, beta: float, n_terms: int, nu: float, c: float) -> fl
     with ``nu`` and ``c`` bounding the per-term second moment and magnitude
     as in :func:`bernstein_tail`.  ``xi == beta`` yields the vacuous bound 1.
     """
-    require_finite("xi", xi)
-    require_finite("beta", beta)
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    if xi < beta:
-        raise ValueError(f"hypothesis requires xi >= beta, got xi={xi}, beta={beta}")
+    require_real("beta", beta, ge=0)
+    require_real("xi", xi, ge=beta)
     if xi == beta:
         return 1.0
     return bernstein_tail(xi - beta, n_terms, nu, c)
@@ -161,9 +153,7 @@ def thm1_probability(g: GuaranteeInputs, alpha: float) -> float:
     condition holds and 0 otherwise (a failed condition gives no guarantee,
     reported as zero success probability).
     """
-    require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_real("alpha", alpha, gt=0)
     if not thm1_condition(g):
         return 0.0
     log_n = math.log(g.n)
@@ -183,8 +173,8 @@ def thm2_bound(g: GuaranteeInputs, *, tight_lambda: bool = False) -> BoundBreakd
     default linearized form ``1 - N P3`` to the sharper ``(1 - P3)^N``.
     """
     n, tau = g.n, g.tau
-    if g.sigma > 0 and g.beta == 0:
-        raise ValueError("beta must be positive when sigma > 0")
+    if g.sigma > 0:
+        require_real("beta", g.beta, gt=0)
     rho = g.s_min / 2.0 - g.beta
     gamma = g.mu_max * g.s_max
     condition_ok = rho >= 0
@@ -242,12 +232,8 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
     raised: the caller decides whether the sharp-condition guarantee is
     usable.
     """
-    require_finite("beta", beta)
-    require_finite("sigma", sigma)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    require_real("beta", beta, gt=0)
+    require_real("sigma", sigma, gt=0)
     require_int("n", n, 2)
     alpha = beta**2 / (2.0 * sigma**2 * math.log(n)) - 1.0
     return AlphaBeta(alpha=alpha, valid=alpha > 0)

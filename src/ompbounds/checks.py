@@ -1,12 +1,20 @@
 """Input rules, the lowest module of the package.
 
-Every public boundary states the rules of its inputs with these helpers.
-Each raises ``ValueError`` with a one-line message that names the input.
+Every public boundary states the rules of its inputs with these helpers:
+``require_int`` for a count, size, index or seed, ``require_real`` for a
+real parameter, and ``check_magnitudes``, ``check_sigma`` and ``check_m``
+for the rules that several boundaries share.  Each raises ``ValueError``
+with a one-line message that names the input.
 """
 
 import math
 
 import numpy as np
+
+# Python ints and numpy integers are finite by construction; math.isfinite
+# would overflow on a Python int beyond the float range.
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 def require_int(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -16,36 +24,44 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> None:
     one, are refused: as a count or a size it would change a reported
     number, or reach the CSV as a float or a boolean, without an error.
     """
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    is_int = isinstance(value, _INTS) and not isinstance(value, bool)
     if not (is_int and lo <= value and (hi is None or value <= hi)):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def require_finite(name: str, *values) -> None:
-    """Raise ``ValueError`` if any of ``values``, all named ``name``, is NaN or infinite.
+def require_real(name: str, value, *, gt=None, ge=None, lt=None) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real ``> gt``, ``>= ge`` and ``< lt``.
 
-    A NaN compares false against every bound, so range checks alone let it
-    through and it surfaces later as a confident-looking wrong number.
+    A Python or numpy int or float passes; a bound left ``None`` is not
+    checked.  A bool, numpy's included, is refused: ``True`` would pass as
+    ``1.0``.  NaN and infinities are refused too: a NaN compares false
+    against every bound, so range checks alone let it through and it
+    surfaces later as a confident-looking wrong number.
     """
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if (
+        type(value) is not bool
+        and isinstance(value, _REALS)
+        and (isinstance(value, _INTS) or math.isfinite(value))
+        and (gt is None or value > gt)
+        and (ge is None or value >= ge)
+        and (lt is None or value < lt)
+    ):
+        return
+    bounds = ((" >", gt), (" >=", ge), (" <", lt))
+    rule = " and".join(f"{op} {b}" for op, b in bounds if b is not None)
+    raise ValueError(f"{name} must be a finite real{rule}, got {value!r}")
 
 
 def check_magnitudes(s_min: float, s_max: float) -> None:
-    """Raise ``ValueError`` unless ``0 < s_min <= s_max``, both finite."""
-    require_finite("s_min", s_min)
-    require_finite("s_max", s_max)
-    if not 0.0 < s_min <= s_max:
-        raise ValueError(f"need 0 < s_min <= s_max, got {s_min}, {s_max}")
+    """Raise ``ValueError`` unless ``0 < s_min <= s_max``."""
+    require_real("s_min", s_min, gt=0)
+    require_real("s_max", s_max, ge=s_min)
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise ``ValueError`` unless the noise deviation ``sigma`` is finite and nonnegative."""
-    require_finite("sigma", sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    """Raise ``ValueError`` unless the noise deviation ``sigma`` is ``>= 0``."""
+    require_real("sigma", sigma, ge=0)
 
 
 def check_m(m) -> None:

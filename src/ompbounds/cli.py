@@ -15,7 +15,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
 from .bounds import GuaranteeInputs, alpha_from_beta, estimate_beta, thm2_bound
-from .checks import require_int
+from .checks import require_int, require_real
 from .dictionary import build_identity_hadamard
 from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep, thm1
 from .omp import SingularSystemError
@@ -74,8 +74,7 @@ def _coerce_config(raw: dict) -> dict:
         raise ValueError("give either sigma or sigma_sq, not both")
     if "sigma_sq" in out:
         sq = out.pop("sigma_sq")
-        if sq < 0:
-            raise ValueError(f"sigma_sq must be nonnegative, got {sq}")
+        require_real("sigma_sq", sq, ge=0)
         out["sigma"] = math.sqrt(sq)
     return out
 
@@ -160,7 +159,6 @@ def _cmd_bound(args) -> int:
         sigma=args.sigma,
         beta=args.beta,
     )
-    # thm2_bound first, as in run_point: it names why a noisy beta = 0 is refused.
     b = thm2_bound(g, tight_lambda=args.tight_lambda)
     cond1, prob1, alpha, alpha_note = thm1(g, args.alpha)
 

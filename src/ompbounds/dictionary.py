@@ -84,16 +84,16 @@ class Dictionary:
     """The ``m x 2m`` identity-Hadamard dictionary ``[I, H/sqrt(m)]``.
 
     Instances are immutable after construction and safe to share across
-    concurrent trials.  Use :func:`build_identity_hadamard`, which checks
-    ``m``, instead of calling the constructor directly.  The Kronecker
-    factors are built on first use, so asking only for ``m``, ``n`` or the
-    coherence allocates nothing of size ``m``.
+    concurrent trials.  ``m`` is an integer power of two ``>= 2``.  The
+    Kronecker factors are built on first use, so asking only for ``m``,
+    ``n`` or the coherence allocates nothing of size ``m``.
 
     ``unit_atoms`` counts the leading atoms that are standard basis vectors:
     all ``m`` of the identity half.  ``omp`` reads it to skip building them.
     """
 
     def __init__(self, m: int):
+        check_m(m)
         self.m = int(m)
         self.n = 2 * self.m
         self.unit_atoms = self.m
@@ -177,5 +177,4 @@ def build_identity_hadamard(m: int) -> Dictionary:
     keeps only the two Kronecker factors of ``H_m`` (at most ``sqrt(2m)``
     on a side), with ``1/sqrt(m)`` folded into one of them.
     """
-    check_m(m)
-    return Dictionary(int(m))
+    return Dictionary(m)

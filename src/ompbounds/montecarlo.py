@@ -37,7 +37,7 @@ from .bounds import (
     thm2_bound,
     unit_correlation_max,
 )
-from .checks import check_m, check_magnitudes, check_sigma, require_finite, require_int
+from .checks import check_m, check_magnitudes, check_sigma, require_int
 from .dictionary import Dictionary, build_identity_hadamard
 from .omp import SingularSystemError, omp, support_match
 from .signals import RngStream, draw_sparse_signal, synthesize
@@ -74,16 +74,14 @@ class ExperimentConfig:
         vals = tuple(self.sweep_values)
         if not vals:
             raise ValueError("sweep_values must be nonempty")
-        require_finite("sweep_values", *vals)
+        # The fixed point and every swept value, as given, obey the same rules.
+        fixed = {"tau": self.tau, "s_min": self.s_min, "sigma": self.sigma}
+        for given in [fixed] + [{**fixed, self.sweep: v} for v in vals]:
+            require_int("tau", given["tau"], 1, self.m)
+            check_magnitudes(given["s_min"], self.s_max)
+            check_sigma(given["sigma"])
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep_values must be strictly increasing")
-        # The fixed point and every swept point obey the same rules.
-        for tau in (self.tau, *vals) if self.sweep == "tau" else (self.tau,):
-            require_int("tau", tau, 1, self.m)
-        points = [(self.tau, self.s_min, self.sigma)] + [self.point(v) for v in vals]
-        for _, s_min, sigma in points:
-            check_magnitudes(s_min, self.s_max)
-            check_sigma(sigma)
         require_int("trials", self.trials, 1)
         require_int("beta_draws", self.beta_draws, 1)
         require_int("master_seed", self.master_seed, 0)

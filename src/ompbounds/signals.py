@@ -72,9 +72,10 @@ class Measurement:
 def draw_support(rng: Generator, n: int, tau: int) -> np.ndarray:
     """First ``tau`` indices of a uniform random permutation of ``0..n-1``.
 
-    Every size-``tau`` subset is equally likely; ``tau`` is an integer in
-    ``[0, n]``.
+    Every size-``tau`` subset is equally likely; ``n >= 0`` and ``tau`` in
+    ``[0, n]`` are integers.
     """
+    require_int("n", n, 0)
     require_int("tau", tau, 0, n)
     return rng.permutation(n)[:tau]
 

@@ -429,5 +429,5 @@ def test_non_finite_scalars_rejected(call):
     # Each comparison with NaN is false, so range checks alone let it
     # through: it came back as probability 0 or 1, valid=False, or an
     # all-NaN observation.
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite real"):
         call()

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 
@@ -5,21 +6,29 @@ import numpy as np
 import pytest
 
 from ompbounds import (
+    Dictionary,
     ExperimentConfig,
     GuaranteeInputs,
     RngStream,
+    SparseSignal,
     alpha_from_beta,
     bernstein_tail,
     build_identity_hadamard,
     count_successes,
+    draw_sparse_signal,
     draw_support,
     estimate_beta,
+    lemma1_tail,
     omp,
     run_point,
     run_sweep,
+    synthesize,
+    thm1,
+    thm1_probability,
+    thm2_bound,
     unit_correlation_max,
 )
-from ompbounds import montecarlo
+from ompbounds import cli, montecarlo
 
 D = build_identity_hadamard(8)
 CPUS = os.cpu_count() or 1
@@ -40,6 +49,7 @@ def _inputs(**kw):
 # integer outside [lo, hi]).
 BOUNDARIES = {
     "build_identity_hadamard_m": (build_identity_hadamard, "m", 2, None, 1),
+    "dictionary_m": (Dictionary, "m", 2, None, 1),
     "config_m": (lambda v: _config(m=v), "m", 2, None, 1),
     "config_tau": (lambda v: _config(tau=v), "tau", 1, 64, 65),
     "config_swept_tau": (lambda v: _config(sweep="tau", sweep_values=(v,), tau=1), "tau", 1, 64, 0),
@@ -63,6 +73,7 @@ BOUNDARIES = {
     "guarantee_tau": (lambda v: _inputs(tau=v), "tau", 1, 16, 17),
     "column_j": (D.column, "j", 0, 15, 16),
     "omp_tau": (lambda v: omp(D, np.ones(8), v), "tau", 1, 8, 9),
+    "draw_support_n": (lambda v: draw_support(RngStream(0, 1).generator(), v, 0), "n", 0, None, -1),
     "draw_support_tau": (
         lambda v: draw_support(RngStream(0, 1).generator(), 16, v), "tau", 0, 16, 17
     ),
@@ -94,5 +105,96 @@ def test_integer_boundaries_share_one_rule(monkeypatch, boundary, kind):
     value = {"bool": True, "fraction": 2.5, "whole_float": 2.0, "out_of_range": outside}[kind]
     bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     message = f"{name} must be an integer {bounds}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+NO_SUPPORT = np.zeros(0, dtype=int)
+
+
+def _gen():
+    return RngStream(0, 1).generator()
+
+
+def _unchecked_inputs(**kw):
+    # GuaranteeInputs refuses a beta that is not a finite real >= 0 before
+    # thm2_bound sees it; built unchecked, thm2_bound's own rule shows.
+    g = object.__new__(GuaranteeInputs)
+    vars(g).update(vars(_inputs()), **kw)
+    return g
+
+
+# Every real boundary: (call with the value, name, rule, a finite real that
+# breaks the rule, an accepted value: a Python int wherever the range holds one).
+REAL_BOUNDARIES = {
+    "guarantee_mu_max": (lambda v: _inputs(mu_max=v), "mu_max", " > 0 and < 1", 1.0, 0.25),
+    "guarantee_s_min": (lambda v: _inputs(s_min=v), "s_min", " > 0", 0.0, 1),
+    "guarantee_s_max": (lambda v: _inputs(s_max=v), "s_max", " >= 0.5", 0.4, 1),
+    "guarantee_sigma": (lambda v: _inputs(sigma=v), "sigma", " >= 0", -1.0, 0),
+    "guarantee_beta": (lambda v: _inputs(beta=v), "beta", " >= 0", -0.1, 0),
+    "config_s_min": (lambda v: _config(s_min=v), "s_min", " > 0", 0.0, 1),
+    "config_s_max": (lambda v: _config(s_max=v), "s_max", " >= 0.5", 0.4, 1),
+    "config_sigma": (lambda v: _config(sigma=v), "sigma", " >= 0", -1.0, 0),
+    "config_swept_s_min": (lambda v: _config(sweep_values=(v,)), "s_min", " > 0", 0.0, 1),
+    "config_swept_sigma": (
+        lambda v: _config(sweep="sigma", sweep_values=(v,)), "sigma", " >= 0", -1.0, 0
+    ),
+    "sparse_signal_s_min": (
+        lambda v: SparseSignal(np.zeros(4), NO_SUPPORT, v, 1.0), "s_min", " > 0", 0.0, 1
+    ),
+    "sparse_signal_s_max": (
+        lambda v: SparseSignal(np.zeros(4), NO_SUPPORT, 0.5, v), "s_max", " >= 0.5", 0.4, 1
+    ),
+    "draw_sparse_signal_s_min": (
+        lambda v: draw_sparse_signal(_gen(), 16, 2, v, 1.0), "s_min", " > 0", 0.0, 1
+    ),
+    "draw_sparse_signal_s_max": (
+        lambda v: draw_sparse_signal(_gen(), 16, 2, 0.5, v), "s_max", " >= 0.5", 0.4, 1
+    ),
+    "synthesize_sigma": (
+        lambda v: synthesize(D, draw_sparse_signal(_gen(), 16, 2, 0.5, 1.0), v, _gen()),
+        "sigma", " >= 0", -1.0, 0,
+    ),
+    "estimate_beta_sigma": (
+        lambda v: estimate_beta(D, v, 4, RngStream(0, 0)), "sigma", " >= 0", -1.0, 0
+    ),
+    "thm1_probability_alpha": (lambda v: thm1_probability(_inputs(), v), "alpha", " > 0", 0.0, 1),
+    "thm1_alpha": (lambda v: thm1(_inputs(), v), "alpha", " > 0", 0.0, 1),
+    "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 0.01, 16), "beta", " > 0", 0.0, 1),
+    "alpha_from_beta_sigma": (lambda v: alpha_from_beta(0.05, v, 16), "sigma", " > 0", 0.0, 1),
+    "bernstein_tail_delta": (lambda v: bernstein_tail(v, 4, 0.01, 0.3), "delta", " > 0", 0.0, 1),
+    "bernstein_tail_nu": (lambda v: bernstein_tail(0.5, 4, v, 0.3), "nu", " >= 0", -1.0, 0),
+    "bernstein_tail_c": (lambda v: bernstein_tail(0.5, 4, 0.01, v), "c", " >= 0", -1.0, 0),
+    "lemma1_tail_xi": (lambda v: lemma1_tail(v, 0.1, 16, 0.01, 0.3), "xi", " >= 0.1", 0.05, 1),
+    "lemma1_tail_beta": (lambda v: lemma1_tail(0.5, v, 16, 0.01, 0.3), "beta", " >= 0", -1.0, 0),
+    "thm2_bound_noisy_beta": (
+        lambda v: thm2_bound(_unchecked_inputs(beta=v)), "beta", " > 0", 0.0, 1
+    ),
+    # The CLI reads sigma_sq as text, so the value goes in as its str().
+    "cli_sigma_sq": (
+        lambda v: cli._coerce_config({"sigma_sq": str(v)}), "sigma_sq", " >= 0", -1.0, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "numpy_bool", "nan", "inf", "out_of_range", "accepted"])
+@pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
+def test_real_boundaries_share_one_rule(boundary, kind):
+    # Each refused value once passed some boundary or came back as a
+    # confident number: True ran s_min = 1.0, a NaN sigma gave a CSV of NaN
+    # betas, a NaN alpha gave probability 0 or 1.
+    call, name, rule, outside, inside = REAL_BOUNDARIES[boundary]
+    if kind == "accepted":
+        call(inside)
+        call(np.float64(inside))
+        return
+    value = {
+        "bool": True, "numpy_bool": np.True_, "nan": math.nan, "inf": math.inf,
+        "out_of_range": outside,
+    }[kind]
+    message = f"{name} must be a finite real{rule}, got {value!r}"
+    if boundary == "cli_sigma_sq" and "bool" in kind:
+        # The text "True" is not a float to begin with.
+        message = "config key 'sigma_sq' expects float, got 'True'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)

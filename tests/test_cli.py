@@ -172,7 +172,7 @@ def test_bound_rejects_non_finite_input(capsys, flag, value):
     # NaN compares false against every range bound; left unchecked, a NaN
     # sigma yields thm1_prob=1.0 with exit status 0.
     assert main(_bound_with(flag, value)) == 1
-    assert "must be finite" in _one_line_error(capsys)
+    assert "must be a finite real" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +187,7 @@ def test_bound_rejects_out_of_range_input(capsys, flag, value):
 
 def test_beta_rejects_nan_sigma(capsys):
     assert main(["beta", "-m", "16", "--sigma", "nan", "--draws", "10"]) == 1
-    assert "must be finite" in _one_line_error(capsys)
+    assert "must be a finite real" in _one_line_error(capsys)
 
 
 def test_bound_missing_flags_usage_error(capsys):
@@ -385,7 +385,7 @@ def test_sweep_rejects_non_finite_input(tmp_path, sweep_config, capsys, override
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 1
-    assert "must be finite" in _one_line_error(capsys)
+    assert "must be a finite real" in _one_line_error(capsys)
     assert not out.exists()
 
 
@@ -613,12 +613,12 @@ def test_thm1_same_in_sweep_point_and_bound(capsys, tau, point):
     (sigma, beta), rows = THM1_TABLE[point]
     d, g, argv = _thm1_point(tau, sigma, beta)
     if rows is None:
-        with pytest.raises(ValueError, match="^beta must be positive, got 0.0$"):
+        with pytest.raises(ValueError, match="^beta must be a finite real > 0, got 0.0$"):
             thm1(g)
-        with pytest.raises(ValueError, match="^beta must be positive when sigma > 0$"):
+        with pytest.raises(ValueError, match="^beta must be a finite real > 0, got 0.0$"):
             run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
         assert main(argv) == 1
-        assert _one_line_error(capsys) == "error: beta must be positive when sigma > 0"
+        assert _one_line_error(capsys) == "error: beta must be a finite real > 0, got 0.0"
         return
     cond, prob, source = rows[(1, 3, 5).index(tau)]
     cond1, prob1, alpha, source1 = thm1(g)
@@ -652,5 +652,5 @@ def test_thm1_given_alpha(capsys, tau, sigma, beta, cond, prob):
 @pytest.mark.parametrize("alpha", [0.0, -1.0])
 def test_thm1_rejects_given_alpha_not_positive(alpha):
     _, g, _ = _thm1_point(1, 0.01, 0.05)
-    with pytest.raises(ValueError, match=f"^alpha must be positive, got {alpha}$"):
+    with pytest.raises(ValueError, match=f"^alpha must be a finite real > 0, got {alpha}$"):
         thm1(g, alpha)
