@@ -15,14 +15,15 @@ equal, so ``beta_draws`` never shifts the trials.
 A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks, whose results are taken in that order.  One worker runs each
 task when its result is reached; a process pool is given every task before
-any result is awaited, so the ``beta`` pass runs alongside the trials.
+any result is awaited, so the ``beta`` pass runs alongside the trials.  The
+pool is imported only then, so a serial process never loads
+``multiprocessing``.
 Neither the schedule nor the chunking changes a result.  Counts, ``tau``,
 seeds and ``workers`` may be numpy integers; a record stores counts as ``int``.
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -161,6 +162,7 @@ def count_successes(
     trial order is the one reported.
     """
     require_int("trials", trials, 1)
+    require_int("master_seed", master_seed, 0)
     return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
 
 
@@ -280,7 +282,12 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         points.append((value, tau, s_min, sigma))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # Imported here, so that a serial process never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         if pool is None:
             outcomes = (task() for task in tasks)

@@ -39,6 +39,7 @@ class RngStream:
 class SparseSignal:
     """Length-``n`` vector with exactly ``len(support)`` nonzeros.
 
+    ``support`` is a 1-D integer array of distinct indices into ``values``.
     Off-support entries are zero; on-support magnitudes lie in
     ``[s_min, s_max]``.
     """
@@ -50,13 +51,24 @@ class SparseSignal:
 
     def __post_init__(self):
         check_magnitudes(self.s_min, self.s_max)
-        if len(set(self.support.tolist())) != len(self.support):
+        n, support = len(self.values), self.support
+        if not (
+            isinstance(support, np.ndarray)
+            and support.ndim == 1
+            and support.dtype.kind in "iu"
+            and np.all((support >= 0) & (support < n))
+        ):
+            shown = " ".join(repr(support).split())  # numpy wraps a long repr
+            raise ValueError(
+                f"support must be a 1-D integer array of indices in [0, {n}), got {shown}"
+            )
+        if len(set(support.tolist())) != len(support):
             raise ValueError("support indices must be distinct")
-        mask = np.zeros(len(self.values), dtype=bool)
-        mask[self.support] = True
+        mask = np.zeros(n, dtype=bool)
+        mask[support] = True
         if np.any(self.values[~mask] != 0.0):
             raise ValueError("nonzero entry outside the support")
-        mags = np.abs(self.values[self.support])
+        mags = np.abs(self.values[support])
         if len(mags) and not (mags.min() >= self.s_min and mags.max() <= self.s_max):
             raise ValueError("on-support magnitude outside [s_min, s_max]")
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -28,7 +29,7 @@ from ompbounds import (
     thm2_bound,
     unit_correlation_max,
 )
-from ompbounds import cli, montecarlo
+from ompbounds import cli
 
 D = build_identity_hadamard(8)
 CPUS = os.cpu_count() or 1
@@ -62,6 +63,9 @@ BOUNDARIES = {
     ),
     "count_successes_trials": (
         lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, v, 0), "trials", 1, None, 0
+    ),
+    "count_successes_master_seed": (
+        lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, 4, v), "master_seed", 0, None, -1
     ),
     "run_point_trials": (
         lambda v: run_point(D, 2, 0.5, 1.0, 0.01, v, 0.05, 1), "trials", 1, None, 0
@@ -97,7 +101,7 @@ def test_integer_boundaries_share_one_rule(monkeypatch, boundary, kind):
     def unreachable(*args, **kwargs):
         raise AssertionError("a process pool was built for a bad worker count")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
     call, name, lo, hi, outside = BOUNDARIES[boundary]
     if kind == "numpy":
         call(np.int64(lo))  # accepted, at the lower end of the range

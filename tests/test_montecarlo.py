@@ -1,7 +1,12 @@
+import concurrent.futures
+import json
 import math
 import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +112,7 @@ def test_run_sweep_rejects_bad_worker_counts(monkeypatch, workers):
     def unreachable(*args, **kwargs):
         raise AssertionError("a process pool was built for a bad worker count")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
     cfg = ExperimentConfig(
         m=4, sweep="tau", sweep_values=(1,), tau=1, s_min=0.5, s_max=1.0, sigma=0.0,
         trials=4, beta_draws=1,
@@ -226,3 +231,42 @@ def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
         run_sweep(cfg)
     assert (exc.value.param_value, exc.value.trial) == (0.5, 12)
     assert len(calls) == 12
+
+
+# Run in a fresh interpreter: the calculators, the beta pass and a serial
+# sweep load no multiprocessing; a two-worker sweep, run afterwards where
+# the machine has two CPUs, imports the pool and counts the same successes.
+COLD_START = """
+import json, os, sys
+from ompbounds import ExperimentConfig, RngStream, build_identity_hadamard, run_sweep
+from ompbounds import unit_correlation_max
+from ompbounds.cli import main
+
+assert main(["coherence", "-m", "64"]) == 0
+assert main(["bound", "--n", "128", "--tau", "2", "--mu-max", "0.125", "--s-min", "0.5",
+             "--s-max", "1", "--sigma", "0.01", "--beta", "0.05"]) == 0
+assert main(["beta", "-m", "64", "--sigma", "0.01", "--draws", "16", "--seed", "7"]) == 0
+unit_correlation_max(build_identity_hadamard(64), 16, RngStream(0, 0))
+cfg = ExperimentConfig(m=64, sweep="tau", sweep_values=(2, 16), tau=2, s_min=0.5, s_max=1.0,
+                       sigma=0.01, trials=40, beta_draws=16)
+out = {"serial": [r.successes for r in run_sweep(cfg, workers=1)]}
+out["loaded"] = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+if (os.cpu_count() or 1) >= 2:
+    out["parallel"] = [r.successes for r in run_sweep(cfg, workers=2)]
+print(json.dumps(out))
+"""
+
+
+def test_serial_process_never_imports_the_process_pool():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["loaded"] == []
+    assert out["serial"] == [40, 35]
+    if (os.cpu_count() or 1) >= 2:
+        assert out["parallel"] == out["serial"]

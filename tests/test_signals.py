@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_signal_rejects_bad_range(s_min, s_max):
         SparseSignal(
             values=np.zeros(10), support=np.array([], dtype=np.int64), s_min=s_min, s_max=s_max
         )
+
+
+@pytest.mark.parametrize(
+    "support",
+    [np.array([5]), np.array([0.0, 1.0]), [0, 1], np.array([[0], [1]])],
+    ids=["out_of_range", "float_array", "list", "two_d"],
+)
+def test_signal_rejects_bad_support(support):
+    # Each once raised numpy's IndexError, an AttributeError or a TypeError
+    # that did not name the support.
+    shown = " ".join(repr(support).split())
+    message = f"support must be a 1-D integer array of indices in [0, 4), got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SparseSignal(values=np.zeros(4), support=support, s_min=0.5, s_max=1.0)
 
 
 def test_synthesize_noiseless_identity_column():
