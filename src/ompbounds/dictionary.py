@@ -87,16 +87,12 @@ class Dictionary:
     concurrent trials.  ``m`` is an integer power of two ``>= 2``.  The
     Kronecker factors are built on first use, so asking only for ``m``,
     ``n`` or the coherence allocates nothing of size ``m``.
-
-    ``unit_atoms`` counts the leading atoms that are standard basis vectors:
-    all ``m`` of the identity half.  ``omp`` reads it to skip building them.
     """
 
     def __init__(self, m: int):
         check_m(m)
         self.m = int(m)
         self.n = 2 * self.m
-        self.unit_atoms = self.m
         self._inv_sqrt_m = 1.0 / math.sqrt(self.m)
 
     @functools.cached_property
@@ -156,13 +152,50 @@ class Dictionary:
         return out
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
-        """Compute ``A @ s`` for a length-``n`` coefficient vector."""
+        """Compute ``A @ s`` for a length-``n`` coefficient vector (:meth:`apply`, checked)."""
         s = np.asarray(s, dtype=np.float64)
         if s.shape != (self.n,):
             raise ValueError(f"coefficient shape {s.shape} != ({self.n},)")
+        return self.apply(s)
+
+    def apply(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``A @ s`` for every length-``n`` vector ``s`` along the last axis.
+
+        The Hadamard halves go through one stacked Kronecker product, so a
+        row of a batch is computed exactly as it would be alone, and the
+        identity halves are added to it.  ``out``, if given, is a
+        C-contiguous float64 array of shape ``s.shape[:-1] + (m,)`` that
+        receives the result.
+        """
         hp, hq = self._hp_scaled, self._hq
-        hadamard = _kronecker_apply(s[self.m :].reshape(hp.shape[0], hq.shape[0]), hp, hq)
-        return s[: self.m] + hadamard.reshape(self.m)
+        lead = s.shape[:-1]
+        if out is None:
+            out = np.empty(lead + (self.m,))
+        mats = s[..., self.m :].reshape(lead + (hp.shape[0], hq.shape[0]))
+        _kronecker_apply(mats, hp, hq, out=out.reshape(mats.shape))
+        out += s[..., : self.m]
+        return out
+
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        # (-1)^popcount(x) / sqrt(m) for x in [0, m): the last Hadamard
+        # atom, exact like every atom.
+        return np.multiply.outer(self._hp_scaled[-1], self._hq[-1]).reshape(self.m)
+
+    def gram(self, support: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``<A_i, A_j>`` for ``i`` in each row of ``support`` and that row's ``j``.
+
+        ``support`` has shape ``(..., k)`` and ``j`` shape ``(...)``.  The
+        entries are exact: 1 on the diagonal, 0 between distinct atoms of one
+        half, and between a unit atom ``e_i`` and a Hadamard atom ``h_c``
+        the Sylvester entry ``H[i, c] / sqrt(m) = (-1)^popcount(i & c) /
+        sqrt(m)``, which is ``hp_scaled[c // q, i // q] hq[c % q, i % q]``.
+        """
+        i, c = support, j[..., None]
+        # Bit log2(m) of an atom index is its half, and the bits below it
+        # are its row or column of H.
+        cross = (i ^ c) >> (self.m.bit_length() - 1)
+        return self._signs[i & c & (self.m - 1)] * cross + (i == c)
 
     def mutual_coherence(self) -> float:
         """Maximum absolute inner product over distinct atoms: exactly ``1/sqrt(m)``."""

@@ -12,14 +12,18 @@ regardless of execution order or degree of parallelism.  The worst-case
 ``beta`` estimate runs on ``(master_seed, 0)``, which no trial stream can
 equal, so ``beta_draws`` never shifts the trials.
 
+A chunk of trials draws each trial's signal and noise in trial order and
+solves them with one lockstep ``omp`` call per sub-batch; a row's result
+does not depend on its batch, so neither does a count.
+
 A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks, whose results are taken in that order.  One worker runs each
 task when its result is reached; a process pool is given every task before
 any result is awaited, so the ``beta`` pass runs alongside the trials.  The
 pool is imported only then, so a serial process never loads
-``multiprocessing``.
-Neither the schedule nor the chunking changes a result.  Counts, ``tau``,
-seeds and ``workers`` may be numpy integers; a record stores counts as ``int``.
+``multiprocessing``.  Neither the schedule nor the chunking changes a
+result.  Counts, ``tau``, seeds and ``workers`` may be numpy integers; a
+record stores counts as ``int``.
 """
 
 import math
@@ -44,6 +48,13 @@ from .omp import SingularSystemError, omp, support_match
 from .signals import RngStream, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
+
+# Memory for one lockstep omp call's per-row buffers: three of length 2 m
+# (the first scores, the current scores and the coefficients) and the
+# (tau, tau) inverse Gram.  At m = 1024 that is 21 rows at tau = 2, 13 at
+# 60 and 2 at 200.  A larger batch amortizes more of each iteration's fixed
+# cost but raises a serial sweep's peak memory.
+_OMP_BATCH_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -129,18 +140,28 @@ def _count_successes(
 ) -> int:
     """Successes over trials ``t_lo..t_hi-1``, each on its own stream.
 
-    ``param_value`` only labels the error of a singular trial.
+    The trials are solved in lockstep, one ``omp`` call per sub-batch of as
+    many consecutive trials as ``_OMP_BATCH_BYTES`` holds; only each
+    trial's support is kept.  ``param_value`` only labels the error of a
+    singular trial, the first in trial order.
     """
+    rows = max(1, _OMP_BATCH_BYTES // (8 * (3 * d.n + tau * tau)))
+    observed = np.empty((min(rows, t_hi - t_lo), d.m))
     count = 0
-    for t in range(t_lo, t_hi):
-        g = RngStream(master_seed, t).generator()
-        signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-        measurement = synthesize(d, signal, sigma, g)
+    for lo in range(t_lo, t_hi, rows):
+        batch = range(lo, min(lo + rows, t_hi))
+        supports = []
+        for row, t in enumerate(batch):
+            g = RngStream(master_seed, t).generator()
+            signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
+            observed[row] = synthesize(d, signal, sigma, g).observed
+            supports.append(signal.support)
         try:
-            result = omp(d, measurement.observed, tau)
+            result = omp(d, observed[: len(batch)], tau)
         except SingularSystemError as err:
-            raise SingularSystemError(err.iteration, t, master_seed, param_value) from err
-        count += support_match(result.support, signal.support)
+            trial = lo + err.row
+            raise SingularSystemError(err.iteration, trial, master_seed, param_value) from err
+        count += sum(map(support_match, result.support, supports))
     return count
 
 

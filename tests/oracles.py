@@ -19,9 +19,13 @@ import mpmath as mp
 import numpy as np
 
 from ompbounds import OmpResult, SingularSystemError
-from ompbounds.omp import RANK_TOL
 
 mp.mp.dps = 50
+
+# A candidate atom whose component orthogonal to the active span falls
+# below this norm makes the active set numerically rank deficient, for
+# ``omp_qr`` and ``omp_direct``.
+RANK_TOL = 1e-12
 
 
 def fwht_butterfly(x):
@@ -55,13 +59,16 @@ def beta_from_alpha(alpha, sigma, n):
     return sigma * math.sqrt(2.0 * (1.0 + alpha) * math.log(n))
 
 
-def omp_qr(d, y, tau):
+def omp_qr(d, y, tau, trace=None):
     """OMP with an incrementally updated QR factorization of the active set.
 
-    The bit-exact reference for ``ompbounds.omp``: the same selection rule
-    and the same floating-point operations, but every atom comes from
-    ``d.column`` and is projected by matrix-vector products, and each
-    iteration's scores are a fresh array.
+    The scalar reference for ``ompbounds.omp``: the same selection rule,
+    but every atom comes from ``d.column`` and is orthogonalized against the
+    active span by matrix-vector products, with one re-orthogonalization
+    pass, and the coefficients come from one triangular solve at the end.
+    ``trace``, if a list, receives ``(margin, residual_norm)`` before each
+    pick: the relative argmax margin ``(best - second) / best`` of the
+    scores (0 when every score is 0) and the residual's 2-norm.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (d.m,):
@@ -84,6 +91,10 @@ def omp_qr(d, y, tau):
         scores[selected[:k]] = -1.0
         j = int(np.argmax(scores))
         selected[k] = j
+        if trace is not None:
+            best, second = np.partition(scores, -2)[-2:][::-1]
+            margin = (best - second) / best if best > 0 else 0.0
+            trace.append((float(margin), math.sqrt(float(residual @ residual))))
 
         # Orthogonalize the new atom against the active span; one
         # re-orthogonalization pass keeps Q orthonormal to machine precision.
@@ -170,9 +181,6 @@ class DenseDictionary:
     Coherence is the pairwise scan over all columns, O(m n^2).
     """
 
-    # Claims no unit atoms, so omp builds and projects every atom.
-    unit_atoms = 0
-
     def __init__(self, a):
         a = np.asarray(a, dtype=np.float64)
         self._matrix = a / np.linalg.norm(a, axis=0)
@@ -193,6 +201,15 @@ class DenseDictionary:
 
     def matvec(self, s):
         return self._matrix @ np.asarray(s, dtype=np.float64)
+
+    def apply(self, s, out=None):
+        """``A @ s`` along the last axis; ``out``, if given, receives it."""
+        return np.matmul(s, self._matrix.T, out=out)
+
+    def gram(self, support, j):
+        """``A[:, support].T @ A[:, j]`` for each row of ``support`` and its ``j``."""
+        atoms = self._matrix.T
+        return (atoms[support] @ atoms[j][..., None])[..., 0]
 
     def mutual_coherence(self):
         g = np.abs(self._matrix.T @ self._matrix)

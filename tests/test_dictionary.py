@@ -132,11 +132,30 @@ def test_correlate_rejects_bad_out(buf):
         build_identity_hadamard(16).correlate_all(np.ones(16), out=buf)
 
 
-def test_unit_atoms_are_the_leading_standard_basis():
-    d = build_identity_hadamard(16)
-    assert d.unit_atoms == d.m
-    np.testing.assert_array_equal(dense_identity_hadamard(d.m)[:, : d.unit_atoms], np.eye(d.m))
-    assert DenseDictionary(np.eye(4)).unit_atoms == 0
+@pytest.mark.parametrize("m", [2, 4, 16, 64])
+def test_gram_is_exact(m):
+    # [[I, H/sqrt(m)], [H/sqrt(m), I]], each entry taken from the dense
+    # dictionary, where an inner product would round.
+    d = build_identity_hadamard(m)
+    a = dense_identity_hadamard(m)
+    want = np.block([[np.eye(m), a[:, m:]], [a[:, m:].T, np.eye(m)]])
+    every, each = np.tile(np.arange(2 * m), (2 * m, 1)), np.arange(2 * m)
+    assert np.array_equal(d.gram(every, each), want)
+    np.testing.assert_allclose(DenseDictionary(a).gram(every, each), want, rtol=0, atol=1e-15)
+    # A batch of active sets against one new atom per row.
+    support, j = np.array([[0, m, 2 * m - 1], [1, m - 1, m + 1]]), np.array([2 * m - 1, 2 % m])
+    assert np.array_equal(d.gram(support, j), want[j[:, None], support])
+
+
+@pytest.mark.parametrize("m", [2, 64, 1024])
+def test_apply_rows_equal_matvec(m):
+    d = build_identity_hadamard(m)
+    s = np.random.default_rng(m).normal(size=(5, d.n))
+    out = np.full((5, m), np.nan)
+    assert d.apply(s, out=out) is out
+    for row, want in zip(out, s):
+        assert np.array_equal(row, d.matvec(want))
+    np.testing.assert_allclose(out, s @ dense_identity_hadamard(m).T, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("lead", [(), (5,)], ids=str)

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,24 +214,43 @@ def test_singular_system_reports_trial():
 
 
 def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
-    # Both points have singular trials; at one worker a trial runs only when
-    # its point's record is built, so nothing after point 0's trial 12 runs.
+    # Both points have singular trials; at one worker a chunk runs only when
+    # its point's record is built, so nothing after the chunk that holds
+    # point 0's trial 18 runs.  Two CPUs give 8 chunks a point: trials
+    # 1..37 first, one omp batch.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = ExperimentConfig(
         m=4, sweep="s_min", sweep_values=(0.5, 0.6), tau=4, s_min=0.5, s_max=1.0,
         sigma=0.0, trials=300, beta_draws=10, master_seed=0,
     )
-    calls = []
+    rows = []
     real = montecarlo.omp
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(d, y, tau):
+        rows.append(len(y))
+        return real(d, y, tau)
 
     monkeypatch.setattr(montecarlo, "omp", counting)
     with pytest.raises(SingularSystemError) as exc:
         run_sweep(cfg)
-    assert (exc.value.param_value, exc.value.trial) == (0.5, 12)
-    assert len(calls) == 12
+    assert (exc.value.param_value, exc.value.trial) == (0.5, 18)
+    assert rows == [37]
+
+
+def test_count_successes_memory_is_bounded():
+    # Trials are drawn and solved a sub-batch at a time, so the peak does not
+    # grow with the trial count: 1000 measurements at m=1024 alone would
+    # take 8 MB.
+    d = build_identity_hadamard(1024)
+    d.correlate_all(np.zeros(1024))  # build the Kronecker factors outside the trace
+    tracemalloc.start()
+    try:
+        successes = count_successes(d, 20, 0.5, 1.0, 1e-3, 1000, 123, param_value=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert successes == REGRESSION_SUCCESSES
+    assert peak < 3 * 2**20
 
 
 # Run in a fresh interpreter: the calculators, the beta pass and a serial

@@ -17,6 +17,7 @@ from ompbounds import (
     support_match,
     synthesize,
 )
+from ompbounds.montecarlo import _point_master_seed
 from oracles import DenseDictionary, exhaustive_l0, omp_direct, omp_qr
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
@@ -95,19 +96,34 @@ def test_numpy_integer_tau_accepted():
     assert omp(build_identity_hadamard(8), y, np.int64(2)).support.tolist() == [7, 6]
 
 
-def _assert_bit_identical(d, y, tau):
-    """``omp`` and the QR oracle give the same bits, or fail at the same iteration."""
+# The oracle's relative argmax margin below which a pick counts as a tie
+# that rounding may break either way.
+NEAR_TIE = 1e-9
+
+
+def _assert_agrees_with_qr_oracle(d, y, tau):
+    """``omp`` selects as the QR oracle does until the oracle meets a near-tie.
+
+    Picks are compared up to the oracle's first iteration whose relative
+    argmax margin is below ``NEAR_TIE`` or whose residual has vanished
+    (``<= 1e-12 ||y||``; a singular pick comes only from such a residual).
+    Over those iterations the coefficients and residual norms agree within
+    ``1e-12 ||y||``.
+    """
+    trace = []
     try:
-        want = omp_qr(d, y, tau)
-    except SingularSystemError as err:
-        with pytest.raises(SingularSystemError) as exc:
-            omp(d, y, tau)
-        assert exc.value.iteration == err.iteration
+        omp_qr(d, y, tau, trace)
+    except SingularSystemError:
+        pass
+    scale = float(np.linalg.norm(y))
+    clear = [margin >= NEAR_TIE and norm > 1e-12 * scale for margin, norm in trace]
+    k = clear.index(False) if False in clear else tau
+    if k == 0:
         return
-    got = omp(d, y, tau)
+    want, got = omp_qr(d, y, k), omp(d, y, k)
     assert np.array_equal(got.support, want.support)
-    assert np.array_equal(got.residual_norms, want.residual_norms)
-    assert np.array_equal(got.coefficients, want.coefficients)
+    np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.residual_norms, want.residual_norms, rtol=0, atol=1e-12 * scale)
 
 
 @settings(deadline=None, max_examples=150)
@@ -119,21 +135,83 @@ def _assert_bit_identical(d, y, tau):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.booleans(),
 )
-def test_omp_bit_identical_to_qr_oracle(m_tau, sigma, seed, zero):
+def test_omp_agrees_with_qr_oracle(m_tau, sigma, seed, zero):
     m, tau = m_tau
     if zero:
         d, y = build_identity_hadamard(m), np.zeros(m)
     else:
         d, _, meas = _planted(m, tau, seed, sigma)
         y = meas.observed
-    _assert_bit_identical(d, y, tau)
+    _assert_agrees_with_qr_oracle(d, y, tau)
 
 
 @pytest.mark.parametrize("tau", [10, 30, 60])
-def test_omp_bit_identical_to_qr_oracle_at_m1024(tau):
+def test_omp_agrees_with_qr_oracle_at_m1024(tau):
     for seed in range(6):
         d, _, meas = _planted(1024, tau, seed, sigma=(0.0, 1e-3, 0.1)[seed % 3])
-        _assert_bit_identical(d, meas.observed, tau)
+        _assert_agrees_with_qr_oracle(d, meas.observed, tau)
+
+
+def _solved_alone(d, y, tau):
+    """``omp`` on one measurement, or the iteration at which it is singular."""
+    try:
+        return omp(d, y, tau)
+    except SingularSystemError as err:
+        return err.iteration
+
+
+def _assert_rows_solved_alone(d, ys, tau):
+    """Each row of a batch gives the bits it gives alone, or the same singular iteration.
+
+    A batch names only its lowest singular row, so the rows before it are
+    solved again as one batch, and the rows after it as the next.
+    """
+    alone = [_solved_alone(d, y, tau) for y in ys]
+    start = 0
+    while start < len(ys):
+        try:
+            batch, stop = omp(d, ys[start:], tau), len(ys)
+        except SingularSystemError as err:
+            stop = start + err.row
+            assert alone[stop] == err.iteration
+            batch = omp(d, ys[start:stop], tau) if stop > start else None
+        for row, want in enumerate(alone[start:stop]):
+            assert not isinstance(want, int), f"row {start + row} is singular alone"
+            for field in ("support", "coefficients", "residual_norms"):
+                assert np.array_equal(getattr(batch, field)[row], getattr(want, field))
+        start = stop + 1
+
+
+@pytest.mark.parametrize(
+    "m,tau,sigma,rows",
+    [(4, 4, 0.0, 40), (64, 8, 0.01, 13), (1024, 30, 1e-3, 9)],
+    ids=["m4_singular", "m64", "m1024"],
+)
+def test_batched_rows_bit_identical_to_rows_solved_alone(m, tau, sigma, rows):
+    # At m = 4 and sigma = 0 the fourth pick comes from rounding noise, and
+    # several of these rows are singular there (trial 18 first).
+    d = build_identity_hadamard(m)
+    ys = []
+    for t in range(1, rows + 1):
+        g = RngStream(_point_master_seed(0, 0), t).generator()
+        s = draw_sparse_signal(g, d.n, tau, 0.5, 1.0)
+        ys.append(synthesize(d, s, sigma, g).observed)
+    ys = np.array(ys)
+    if m == 4:
+        assert isinstance(_solved_alone(d, ys[17], tau), int)
+    _assert_rows_solved_alone(d, ys, tau)
+
+
+def test_batch_shape_follows_the_measurements():
+    d, _, meas = _planted(64, 5, 3, sigma=0.01)
+    one = omp(d, meas.observed, 5)
+    batch = omp(d, meas.observed[None, :], 5)
+    assert one.support.shape == one.coefficients.shape == one.residual_norms.shape == (5,)
+    assert batch.support.shape == batch.coefficients.shape == batch.residual_norms.shape == (1, 5)
+    assert np.array_equal(batch.support[0], one.support)
+    for bad in (np.zeros((0, 64)), np.zeros((2, 2, 64)), np.zeros((2, 63))):
+        with pytest.raises(ValueError, match="measurement shape"):
+            omp(d, bad, 5)
 
 
 def test_omp_call_structure(monkeypatch):
@@ -156,8 +234,8 @@ def test_omp_call_structure(monkeypatch):
         monkeypatch.setattr(Dictionary, name, counted(name))
     r = omp(d, y, 4)
     assert sorted(r.support.tolist()) == [3, 10, 70, 100]
-    # One correlation per iteration; only the two Hadamard atoms are built.
-    assert calls == Counter(correlate_all=4, column=2)
+    # One correlation per iteration, the first on y; no atom is built.
+    assert calls == Counter(correlate_all=4)
 
 
 def test_residual_monotone_and_orthogonal():
