@@ -17,17 +17,16 @@ solves them with one lockstep ``omp`` call per sub-batch; a row's result
 does not depend on its batch, so neither does a count.
 
 A sweep is one ordered task list, the ``beta`` pass and then every point's
-trial chunks, whose results are taken in that order.  One worker runs each
-task when its result is reached; a process pool is given every task before
-any result is awaited, so the ``beta`` pass runs alongside the trials.  The
-pool is imported only then, so a serial process never loads
-``multiprocessing``.  Neither the schedule nor the chunking changes a
+trial chunks, cut alike on any host; results are taken in that order.  One
+worker runs each task when its result is reached; a process pool is given
+every task before any result is awaited, so the ``beta`` pass runs alongside
+the trials.  The pool is imported only then, so a serial process never
+loads ``multiprocessing``.  Neither the schedule nor the chunking changes a
 result.  Counts, ``tau``, seeds and ``workers`` may be numpy integers; a
 record stores counts as ``int``.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -55,6 +54,9 @@ SWEEP_KINDS = ("tau", "s_min", "sigma")
 # 60 and 2 at 200.  A larger batch amortizes more of each iteration's fixed
 # cost but raises a serial sweep's peak memory.
 _OMP_BATCH_BYTES = 2**20
+
+# Trial chunks per sweep point (fewer if there are fewer trials), on any host.
+_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -273,24 +275,22 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     sigma sweep re-estimates it per point while other sweeps share one
     value.
 
-    ``workers`` is an integer in ``[1, os.cpu_count()]``.  The sweep is one
-    ordered task list, the ``beta`` pass and then every point's trial
-    chunks, mapped lazily and in order.  At one worker each task runs in
-    this process when its result is reached, so nothing after a failed
-    trial runs.  At more, every task is submitted to one process pool
-    before any result is awaited, so the ``beta`` pass runs alongside the
-    trials and no point waits for the one before it.  Records are built in
-    sweep order, so the first failure in sweep order is the one raised,
-    whatever finished first; on any exception the chunks not yet started
-    are cancelled.  Every number returned is independent of the schedule
-    and of ``workers``.
+    ``workers`` is an integer in ``[1, tasks]``.  The sweep is one ordered
+    list of ``tasks``, the ``beta`` pass and then each point's
+    ``min(_CHUNKS, trials)`` trial chunks, mapped lazily and in order.  At
+    one worker each task runs in this process when its result is reached, so
+    nothing after a failed trial runs.  At more, every task is submitted to
+    one process pool before any result is awaited, so the ``beta`` pass runs
+    alongside the trials and no point waits for the one before it.  Records
+    are built in sweep order, so the first failure in sweep order is the one
+    raised, whatever finished first; on any exception the chunks not yet
+    started are cancelled.  Every number returned is independent of the
+    schedule and of ``workers``.
     """
-    max_workers = os.cpu_count() or 1
-    # Each worker is a process, so the count is bounded by the machine.
-    require_int("workers", workers, 1, max_workers)
+    n_chunks = min(_CHUNKS, cfg.trials)
+    # A worker beyond the task count would never get a task.
+    require_int("workers", workers, 1, 1 + len(cfg.sweep_values) * n_chunks)
     d = build_identity_hadamard(cfg.m)
-    # Four chunks per core keep the workers busy to the end of a sweep.
-    n_chunks = min(4 * max_workers, cfg.trials)
     edges = np.linspace(1, cfg.trials + 1, n_chunks + 1, dtype=int).tolist()
     tasks = [partial(unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0))]
     points = []

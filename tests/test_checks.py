@@ -1,6 +1,5 @@
 import concurrent.futures
 import math
-import os
 import re
 
 import numpy as np
@@ -32,7 +31,6 @@ from ompbounds import (
 from ompbounds import cli
 
 D = build_identity_hadamard(8)
-CPUS = os.cpu_count() or 1
 
 
 def _config(**kw):
@@ -57,9 +55,9 @@ BOUNDARIES = {
     "config_trials": (lambda v: _config(trials=v), "trials", 1, None, 0),
     "config_beta_draws": (lambda v: _config(beta_draws=v), "beta_draws", 1, None, 0),
     "config_master_seed": (lambda v: _config(master_seed=v), "master_seed", 0, None, -1),
+    # One beta task and four single-trial chunks: 5 tasks, so 5 workers at most.
     "run_sweep_workers": (
-        lambda v: run_sweep(_config(m=4, tau=1, beta_draws=1), workers=v),
-        "workers", 1, CPUS, CPUS + 1,
+        lambda v: run_sweep(_config(m=4, tau=1, beta_draws=1), workers=v), "workers", 1, 5, 6
     ),
     "count_successes_trials": (
         lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, v, 0), "trials", 1, None, 0

@@ -272,14 +272,14 @@ def test_sweep_byte_identical_across_runs_and_workers(tmp_path, sweep_config, ki
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
-def test_sweep_csv_byte_identical_at_any_cpu_count(tmp_path, sweep_config, kind, monkeypatch):
-    # A point's trials are cut into min(4 * cpu_count, trials) chunks, each
-    # solved as lockstep batches, so the batches change with the count
-    # (10, 5 and 2 or 3 trials here) and the CSV must not.
+def test_sweep_csv_byte_identical_at_any_chunking(tmp_path, sweep_config, kind, monkeypatch):
+    # A point's trials are cut into min(_CHUNKS, trials) chunks, each solved
+    # as lockstep batches, so the batches change with the count (40, 13 or
+    # 14, and 5 trials here) and the CSV must not.
     texts = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}.csv"
+    for chunks in (1, 3, 8):
+        monkeypatch.setattr(montecarlo, "_CHUNKS", chunks)
+        out = tmp_path / f"chunks{chunks}.csv"
         assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1] == texts[2]
@@ -406,8 +406,8 @@ def test_sweep_rejects_non_finite_input(tmp_path, sweep_config, capsys, override
 
 @pytest.mark.parametrize(
     "workers",
-    [0, -1, (os.cpu_count() or 1) + 1, 10**6],
-    ids=["zero", "negative", "cpu_count_plus_one", "huge"],
+    [0, -1, 26, 10**6],
+    ids=["zero", "negative", "tasks_plus_one", "huge"],
 )
 def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monkeypatch, workers):
     # No case may start a process, least of all the huge one.
@@ -418,10 +418,8 @@ def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monk
     out = tmp_path / "never.csv"
     argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--workers", str(workers)]
     assert main(argv) == 1
-    max_workers = os.cpu_count() or 1
-    assert _one_line_error(capsys) == (
-        f"error: workers must be an integer in [1, {max_workers}], got {workers}"
-    )
+    # The beta pass and 8 chunks for each of 3 points: 25 tasks.
+    assert _one_line_error(capsys) == f"error: workers must be an integer in [1, 25], got {workers}"
     assert not out.exists()
 
 

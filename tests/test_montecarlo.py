@@ -107,7 +107,7 @@ def test_run_sweep_deterministic_and_monotone_in_tau():
     assert all(p1 >= p2 - s for p1, p2, s in zip(probs, probs[1:], slack))
 
 
-@pytest.mark.parametrize("workers", [0, -1, True, 1.0])
+@pytest.mark.parametrize("workers", [0, -1, True, 1.0, 6])
 def test_run_sweep_rejects_bad_worker_counts(monkeypatch, workers):
     # No case may start a process.
     def unreachable(*args, **kwargs):
@@ -118,7 +118,8 @@ def test_run_sweep_rejects_bad_worker_counts(monkeypatch, workers):
         m=4, sweep="tau", sweep_values=(1,), tau=1, s_min=0.5, s_max=1.0, sigma=0.0,
         trials=4, beta_draws=1,
     )
-    message = f"workers must be an integer in [1, {os.cpu_count() or 1}], got {workers!r}"
+    # The beta pass and four single-trial chunks: 5 tasks, whatever the host.
+    message = f"workers must be an integer in [1, 5], got {workers!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_sweep(cfg, workers=workers)
 
@@ -216,9 +217,8 @@ def test_singular_system_reports_trial():
 def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
     # Both points have singular trials; at one worker a chunk runs only when
     # its point's record is built, so nothing after the chunk that holds
-    # point 0's trial 18 runs.  Two CPUs give 8 chunks a point: trials
-    # 1..37 first, one omp batch.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # point 0's trial 18 runs.  A point is cut into 8 chunks: trials 1..37
+    # first, one omp batch.
     cfg = ExperimentConfig(
         m=4, sweep="s_min", sweep_values=(0.5, 0.6), tau=4, s_min=0.5, s_max=1.0,
         sigma=0.0, trials=300, beta_draws=10, master_seed=0,
@@ -235,6 +235,32 @@ def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
         run_sweep(cfg)
     assert (exc.value.param_value, exc.value.trial) == (0.5, 18)
     assert rows == [37]
+
+
+def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
+    # Two workers run on a one-CPU host, and no CPU count changes the chunks,
+    # so none changes the rows that each lockstep omp call solves.
+    cfg = ExperimentConfig(
+        m=64, sweep="tau", sweep_values=(2, 4), tau=2, s_min=0.5, s_max=1.0,
+        sigma=0.05, trials=40, beta_draws=50, master_seed=3,
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = run_sweep(cfg)
+    assert run_sweep(cfg, workers=2) == serial
+    batches = {}
+    real = montecarlo.omp
+
+    def counting(d, y, tau):
+        batches[os.cpu_count()].append(len(y))
+        return real(d, y, tau)
+
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        batches[cpus] = []
+        assert run_sweep(cfg) == serial
+    # 8 chunks of 5 trials a point, each one omp batch.
+    assert list(batches.values()) == [[5] * 16] * 3
 
 
 def test_count_successes_memory_is_bounded():
@@ -254,10 +280,10 @@ def test_count_successes_memory_is_bounded():
 
 
 # Run in a fresh interpreter: the calculators, the beta pass and a serial
-# sweep load no multiprocessing; a two-worker sweep, run afterwards where
-# the machine has two CPUs, imports the pool and counts the same successes.
+# sweep load no multiprocessing; a two-worker sweep, run afterwards,
+# imports the pool and counts the same successes.
 COLD_START = """
-import json, os, sys
+import json, sys
 from ompbounds import ExperimentConfig, RngStream, build_identity_hadamard, run_sweep
 from ompbounds import unit_correlation_max
 from ompbounds.cli import main
@@ -271,8 +297,7 @@ cfg = ExperimentConfig(m=64, sweep="tau", sweep_values=(2, 16), tau=2, s_min=0.5
                        sigma=0.01, trials=40, beta_draws=16)
 out = {"serial": [r.successes for r in run_sweep(cfg, workers=1)]}
 out["loaded"] = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
-if (os.cpu_count() or 1) >= 2:
-    out["parallel"] = [r.successes for r in run_sweep(cfg, workers=2)]
+out["parallel"] = [r.successes for r in run_sweep(cfg, workers=2)]
 print(json.dumps(out))
 """
 
@@ -288,5 +313,4 @@ def test_serial_process_never_imports_the_process_pool():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["loaded"] == []
     assert out["serial"] == [40, 35]
-    if (os.cpu_count() or 1) >= 2:
-        assert out["parallel"] == out["serial"]
+    assert out["parallel"] == out["serial"]
