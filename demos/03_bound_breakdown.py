@@ -51,7 +51,7 @@ print(f"  gamma      = mu_max * s_max        = {b.gamma:.5f}")
 print(f"  p1, p2     = per-atom tail bounds  = {b.p1:.3e}, {b.p2:.3e}")
 print(f"  p3         = noise-correlation tail= {b.p3:.3e}")
 print(f"  lambda_lb  = 1 - n*p3 (clamped)    = {b.lambda_lb:.6f}")
-print(f"  error_ub   = 2n exp(...)           = {b.error_ub:.3e}")
+print(f"  error_ub   = n*p2 (unclamped)      = {b.error_ub:.3e}")
 print(f"  probability= lambda*(1-error_ub)   = {b.probability:.6f}")
 
 # Same evaluation from the command line:

@@ -7,7 +7,6 @@ from .bounds import (
     alpha_from_beta,
     bernstein_tail,
     estimate_beta,
-    lemma1_tail,
     thm1_condition,
     thm1_probability,
     thm2_bound,
@@ -45,7 +44,6 @@ __all__ = [
     "draw_support",
     "estimate_beta",
     "fwht",
-    "lemma1_tail",
     "omp",
     "run_point",
     "run_sweep",

@@ -19,14 +19,14 @@ under the column prefixes ``thm1`` and ``thm2``:
   where ``lambda = Pr{ |<A_j, w>| <= beta for all j } >= 1 - N P3`` and
   ``P3 = sqrt(2/pi) (sigma/beta) exp(-beta^2 / (2 sigma^2))``.
 
-The second factor of ``thm2`` comes from a Bernstein tail bound on the
-off-support correlation statistic ``|<A_j, A s + w>|``; the generic
-inequality and that tail are exposed as ``bernstein_tail`` and
-``lemma1_tail``.  ``beta`` itself is measured empirically in the worst
-case, as the maximum of ``|<A_j, w>|`` over many noise draws.  Every real
-input passes ``checks.require_real`` (a finite int or float, never a bool,
-in the range its formula needs), and ``n``, ``tau``, ``n_terms`` and
-``draws`` pass ``checks.require_int``.
+The second factor of ``thm2`` is one minus a union bound over the N atoms
+of the paper's Lemma 1, the tail of ``|<A_j, A s + w>|`` at ``xi = s_min/2``,
+which is ``bernstein_tail(xi - beta, ...)``: ``error_ub`` is N times that
+tail, ``p2``, before its clamp.  ``beta`` itself is measured empirically in
+the worst case, as the maximum of ``|<A_j, w>|`` over many noise draws.
+Real inputs pass ``checks.require_real``, ``sigma`` and ``beta`` through
+``checks.require_scale``, and ``n``, ``tau``, ``n_terms`` and ``draws``
+pass ``checks.require_int``.
 """
 
 import math
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_magnitudes, check_sigma, require_int, require_real
+from .checks import check_magnitudes, check_sigma, require_int, require_real, require_scale
 from .dictionary import Dictionary
 from .signals import RngStream
 
@@ -61,7 +61,7 @@ class GuaranteeInputs:
 
     def __post_init__(self):
         require_real("mu_max", self.mu_max, gt=0, lt=1)
-        require_real("beta", self.beta, ge=0)
+        require_scale("beta", self.beta, ge=0)
         check_magnitudes(self.s_min, self.s_max)
         check_sigma(self.sigma)
         require_int("n", self.n, 2)
@@ -76,7 +76,7 @@ class BoundBreakdown:
     diagnostics; ``lambda_lb`` and ``probability`` are clamped to [0, 1].
     ``p1``/``p2`` are the on-support and off-support per-atom tail bounds
     (``p1 <= p2``), ``p3`` the per-atom noise-correlation tail, and
-    ``error_ub`` the raw union bound ``2 N exp(...)`` which may exceed 1.
+    ``error_ub`` N times the unclamped ``p2`` tail, which may exceed 1.
     """
 
     rho: float
@@ -112,6 +112,11 @@ def bernstein_tail(delta: float, n_terms: int, nu: float, c: float) -> float:
 
         Pr{ |sum x| >= delta } <= 2 exp(-delta^2 / (2 (n_terms nu + c delta / 3)))
     """
+    return min(1.0, 2.0 * math.exp(-_bernstein_exponent(delta, n_terms, nu, c)))
+
+
+def _bernstein_exponent(delta: float, n_terms: int, nu: float, c: float) -> float:
+    """The ``x`` of :func:`bernstein_tail`'s ``2 exp(-x)``; ``inf`` for a zero denominator."""
     require_real("delta", delta, gt=0)
     require_real("nu", nu, ge=0)
     require_real("c", c, ge=0)
@@ -119,26 +124,7 @@ def bernstein_tail(delta: float, n_terms: int, nu: float, c: float) -> float:
         raise ValueError("nu and c must not both be zero")
     require_int("n_terms", n_terms, 0)
     denom = 2.0 * (n_terms * nu + c * delta / 3.0)
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, 2.0 * math.exp(-delta * delta / denom))
-
-
-def lemma1_tail(xi: float, beta: float, n_terms: int, nu: float, c: float) -> float:
-    """Tail bound on the correlation statistic ``|<A_j, A s + w>|``.
-
-    Assuming ``|<A_j, w>| <= beta`` and ``xi >= beta``,
-
-        Pr{ |<A_j, A s + w>| >= xi } <= 2 exp(-(xi-beta)^2 / (2 (n nu + c (xi-beta)/3)))
-
-    with ``nu`` and ``c`` bounding the per-term second moment and magnitude
-    as in :func:`bernstein_tail`.  ``xi == beta`` yields the vacuous bound 1.
-    """
-    require_real("beta", beta, ge=0)
-    require_real("xi", xi, ge=beta)
-    if xi == beta:
-        return 1.0
-    return bernstein_tail(xi - beta, n_terms, nu, c)
+    return math.inf if denom == 0.0 else delta * delta / denom
 
 
 def thm1_condition(g: GuaranteeInputs) -> bool:
@@ -174,7 +160,7 @@ def thm2_bound(g: GuaranteeInputs, *, tight_lambda: bool = False) -> BoundBreakd
     """
     n, tau = g.n, g.tau
     if g.sigma > 0:
-        require_real("beta", g.beta, gt=0)
+        require_scale("beta", g.beta, gt=0)
     rho = g.s_min / 2.0 - g.beta
     gamma = g.mu_max * g.s_max
     condition_ok = rho >= 0
@@ -182,13 +168,16 @@ def thm2_bound(g: GuaranteeInputs, *, tight_lambda: bool = False) -> BoundBreakd
     # Per-term Bernstein parameters: |mu s| <= gamma and, averaging over
     # uniformly random support placement, E{mu^2 s^2} <= (tau/n) s_max^2 mu_max^2.
     nu = (tau / n) * g.s_max**2 * g.mu_max**2
-    c = gamma
-    rho_eff = max(rho, 0.0)
-    if rho_eff > 0.0:
-        p1 = bernstein_tail(rho_eff, tau - 1, nu, c)
-        p2 = bernstein_tail(rho_eff, tau, nu, c)
+    if rho > 0.0:
+        p1 = bernstein_tail(rho, tau - 1, nu, gamma)
+        x = _bernstein_exponent(rho, tau, nu, gamma)
     else:
-        p1 = p2 = 1.0
+        p1, x = 1.0, 0.0
+    p2 = min(1.0, 2.0 * math.exp(-x))
+    if x > _EXP_SWITCH:
+        error_ub = math.exp(math.log(2.0 * n) - x)
+    else:
+        error_ub = n * (2.0 * math.exp(-x))
 
     if g.sigma == 0.0:
         p3 = 0.0
@@ -201,12 +190,6 @@ def thm2_bound(g: GuaranteeInputs, *, tight_lambda: bool = False) -> BoundBreakd
     else:
         lambda_raw = 1.0 - n * p3
     lambda_lb = min(1.0, max(0.0, lambda_raw))
-
-    exponent = n * rho_eff**2 / (2.0 * tau**2 * gamma**2 + 2.0 * n * gamma * rho_eff / 3.0)
-    if exponent > _EXP_SWITCH:
-        error_ub = math.exp(math.log(2.0 * n) - exponent)
-    else:
-        error_ub = 2.0 * n * math.exp(-exponent)
 
     probability_raw = lambda_lb * (1.0 - error_ub)
     probability = min(1.0, max(0.0, probability_raw))
@@ -232,8 +215,8 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
     raised: the caller decides whether the sharp-condition guarantee is
     usable.
     """
-    require_real("beta", beta, gt=0)
-    require_real("sigma", sigma, gt=0)
+    require_scale("beta", beta, gt=0)
+    require_scale("sigma", sigma, gt=0)
     require_int("n", n, 2)
     alpha = beta**2 / (2.0 * sigma**2 * math.log(n)) - 1.0
     return AlphaBeta(alpha=alpha, valid=alpha > 0)

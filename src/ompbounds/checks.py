@@ -2,9 +2,10 @@
 
 Every public boundary states the rules of its inputs with these helpers:
 ``require_int`` for a count, size, index or seed, ``require_real`` for a
-real parameter, and ``check_magnitudes``, ``check_sigma`` and ``check_m``
-for the rules that several boundaries share.  Each raises ``ValueError``
-with a one-line message that names the input.
+real parameter (``require_scale`` for ``sigma`` and ``beta``), and
+``check_magnitudes``, ``check_sigma`` and ``check_m`` for the rules that
+several boundaries share.  Each raises ``ValueError`` with a one-line
+message that names the input.
 """
 
 import math
@@ -15,6 +16,9 @@ import numpy as np
 # would overflow on a Python int beyond the float range.
 _INTS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
+# The positive reals whose square is a normal float, ends included.
+_SCALE_MIN = math.sqrt(np.finfo(float).tiny)
+_SCALE_MAX = math.sqrt(np.finfo(float).max)
 
 
 def require_int(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -53,6 +57,19 @@ def require_real(name: str, value, *, gt=None, ge=None, lt=None) -> None:
     raise ValueError(f"{name} must be a finite real{rule}, got {value!r}")
 
 
+def require_scale(name: str, value, *, gt=None, ge=None) -> None:
+    """:func:`require_real`, and refuse a positive ``value`` whose square is not a normal float.
+
+    The bounds divide by ``2 sigma^2``: a square that underflows to zero
+    divides by zero, one that overflows raises, and a subnormal one gives a
+    confident wrong probability.
+    """
+    require_real(name, value, gt=gt, ge=ge)
+    if value > 0 and not _SCALE_MIN <= value <= _SCALE_MAX:
+        rule = f"when positive, in [{_SCALE_MIN:.4g}, {_SCALE_MAX:.4g}]"
+        raise ValueError(f"{name} must square to a normal float: {rule}, got {value!r}")
+
+
 def check_magnitudes(s_min: float, s_max: float) -> None:
     """Raise ``ValueError`` unless ``0 < s_min <= s_max``."""
     require_real("s_min", s_min, gt=0)
@@ -60,8 +77,8 @@ def check_magnitudes(s_min: float, s_max: float) -> None:
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise ``ValueError`` unless the noise deviation ``sigma`` is ``>= 0``."""
-    require_real("sigma", sigma, ge=0)
+    """Raise ``ValueError`` unless the noise deviation ``sigma`` is 0 or a positive scale."""
+    require_scale("sigma", sigma, ge=0)
 
 
 def check_m(m) -> None:

@@ -184,6 +184,7 @@ def count_successes(
     ``param_value``, the trial and its stream; the first such trial in
     trial order is the one reported.
     """
+    require_int("tau", tau, 1, d.m)
     require_int("trials", trials, 1)
     require_int("master_seed", master_seed, 0)
     return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
@@ -271,9 +272,9 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     """Run one point per sweep value; deterministic given ``master_seed``.
 
     ``beta`` comes from a single worst-case pass on stream
-    ``(master_seed, 0)``; it scales exactly linearly in ``sigma``, so a
-    sigma sweep re-estimates it per point while other sweeps share one
-    value.
+    ``(master_seed, 0)`` at unit noise; it scales exactly linearly in
+    ``sigma``, so each point's ``beta`` is its ``sigma`` times that pass's
+    maximum, and a sigma sweep needs no second pass.
 
     ``workers`` is an integer in ``[1, tasks]``.  The sweep is one ordered
     list of ``tasks``, the ``beta`` pass and then each point's

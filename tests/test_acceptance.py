@@ -18,7 +18,6 @@ from ompbounds import (
     count_successes,
     draw_sparse_signal,
     estimate_beta,
-    lemma1_tail,
     omp,
     run_point,
     run_sweep,
@@ -110,7 +109,7 @@ def test_criterion_2_formula_fidelity():
         c = g.mu_max * g.s_max
         xi = g.beta + g.s_min / 2.0
         err = rel_err(
-            lemma1_tail(xi, g.beta, g.n, nu, c), lemma1_oracle(xi, g.beta, g.n, nu, c)
+            bernstein_tail(xi - g.beta, g.n, nu, c), lemma1_oracle(xi, g.beta, g.n, nu, c)
         )
         if err > tol:
             failures.append(f"point {i}: lemma1 rel err {err:.2e}")
@@ -191,7 +190,7 @@ def test_criterion_5_lemma1_empirical_dominance():
     hypothesis_ok = np.abs(d.correlate_all(noise)) <= beta
     nu = (tau / d.n) * s_max**2 * d.mutual_coherence() ** 2
     c = d.mutual_coherence() * s_max
-    bound = lemma1_tail(xi, beta, d.n, nu, c)
+    bound = bernstein_tail(xi - beta, d.n, nu, c)
     for j in range(d.n):
         valid = ~on_support[:, j] & hypothesis_ok[:, j]
         estimate = float((gamma_stat[valid, j] >= xi).mean())

@@ -13,7 +13,6 @@ from ompbounds import (
     build_identity_hadamard,
     draw_sparse_signal,
     estimate_beta,
-    lemma1_tail,
     synthesize,
     thm1_condition,
     thm1_probability,
@@ -85,34 +84,32 @@ def test_bernstein_oracle_grid():
         assert rel_err(got, want) <= 1e-12
 
 
-def test_lemma1_vacuous_at_xi_equals_beta():
-    assert lemma1_tail(0.5, 0.5, 16, 0.01, 0.3) == 1.0
-
-
-def test_lemma1_rejects_xi_below_beta():
-    with pytest.raises(ValueError):
-        lemma1_tail(0.1, 0.2, 16, 0.01, 0.3)
-    with pytest.raises(ValueError):
-        lemma1_tail(0.1, -0.1, 16, 0.01, 0.3)
-
-
 def test_lemma1_is_shifted_bernstein():
-    got = lemma1_tail(0.3, 0.05, 16, 0.02, 0.35)
-    assert got == bernstein_tail(0.25, 16, 0.02, 0.35)
+    # The paper's Lemma 1 at xi is the Bernstein tail at xi - beta.
+    got = bernstein_tail(0.3 - 0.05, 16, 0.02, 0.35)
     assert rel_err(got, lemma1_oracle(0.3, 0.05, 16, 0.02, 0.35)) <= 1e-12
 
 
 def test_lemma1_reproduces_p2_at_xi_half_smin():
     # With the closed-form nu and c, the lemma at xi = s_min/2 and tau terms
-    # is exactly the on/off-support tail p2 of the full bound.
-    g = _inputs()
-    nu = (g.tau / g.n) * g.s_max**2 * g.mu_max**2
-    c = g.mu_max * g.s_max
-    b = thm2_bound(g)
-    assert lemma1_tail(g.s_min / 2.0, g.beta, g.tau, nu, c) == b.p2
-    if b.p2 < 1.0:
-        # N * p2 re-derives the raw union error bound.
-        assert abs(g.n * b.p2 - b.error_ub) <= 1e-12 * b.error_ub
+    # is exactly the off-support tail p2 of the full bound, and N * p2 is
+    # exactly the raw union error bound wherever p2 is not clamped and the
+    # bound is not evaluated in log space.
+    checked = 0
+    for point in random_guarantee_grid(400, seed=17):
+        point = dict(point)
+        point.pop("alpha")
+        g = GuaranteeInputs(**point)
+        nu = (g.tau / g.n) * g.s_max**2 * g.mu_max**2
+        c = g.mu_max * g.s_max
+        b = thm2_bound(g)
+        if b.rho <= 0:
+            continue
+        assert bernstein_tail(g.s_min / 2.0 - g.beta, g.tau, nu, c) == b.p2
+        if b.p2 < 1.0 and bounds._bernstein_exponent(b.rho, g.tau, nu, c) <= bounds._EXP_SWITCH:
+            assert b.error_ub == g.n * b.p2, point
+            checked += 1
+    assert checked >= 200
 
 
 def test_lemma1_dominates_monte_carlo_tail():
@@ -137,7 +134,7 @@ def test_lemma1_dominates_monte_carlo_tail():
     hypothesis_ok = np.abs(d.correlate_all(noise)) <= beta
     nu = (tau / d.n) * s_max**2 * d.mutual_coherence() ** 2
     c = d.mutual_coherence() * s_max
-    bound = lemma1_tail(xi, beta, d.n, nu, c)
+    bound = bernstein_tail(xi - beta, d.n, nu, c)
     for j in range(d.n):
         valid = ~on_support[:, j] & hypothesis_ok[:, j]
         assert valid.sum() > 10_000
@@ -404,8 +401,6 @@ def test_guarantee_inputs_n_and_tau_are_integers(field, value):
         lambda: alpha_from_beta(0.05, math.inf, 16),
         lambda: bernstein_tail(math.nan, 4, 0.01, 0.3),
         lambda: bernstein_tail(0.5, 4, math.inf, 0.3),
-        lambda: lemma1_tail(math.nan, 0.1, 16, 0.01, 0.3),
-        lambda: lemma1_tail(0.5, math.nan, 16, 0.01, 0.3),
         lambda: synthesize(
             build_identity_hadamard(4),
             draw_sparse_signal(RngStream(0, 1).generator(), 8, 2, 0.5, 1.0),
@@ -420,8 +415,6 @@ def test_guarantee_inputs_n_and_tau_are_integers(field, value):
         "alpha_from_beta_sigma_inf",
         "bernstein_delta_nan",
         "bernstein_nu_inf",
-        "lemma1_xi_nan",
-        "lemma1_beta_nan",
         "synthesize_sigma_nan",
     ],
 )

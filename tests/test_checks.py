@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ompbounds import (
     draw_sparse_signal,
     draw_support,
     estimate_beta,
-    lemma1_tail,
     omp,
     run_point,
     run_sweep,
@@ -61,6 +61,10 @@ BOUNDARIES = {
     ),
     "count_successes_trials": (
         lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, v, 0), "trials", 1, None, 0
+    ),
+    # Checked before any draw: 2.0 once reached range() as a TypeError.
+    "count_successes_tau": (
+        lambda v: count_successes(D, v, 0.5, 1.0, 0.01, 2, 0), "tau", 1, 8, 17
     ),
     "count_successes_master_seed": (
         lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, 4, v), "master_seed", 0, None, -1
@@ -167,8 +171,6 @@ REAL_BOUNDARIES = {
     "bernstein_tail_delta": (lambda v: bernstein_tail(v, 4, 0.01, 0.3), "delta", " > 0", 0.0, 1),
     "bernstein_tail_nu": (lambda v: bernstein_tail(0.5, 4, v, 0.3), "nu", " >= 0", -1.0, 0),
     "bernstein_tail_c": (lambda v: bernstein_tail(0.5, 4, 0.01, v), "c", " >= 0", -1.0, 0),
-    "lemma1_tail_xi": (lambda v: lemma1_tail(v, 0.1, 16, 0.01, 0.3), "xi", " >= 0.1", 0.05, 1),
-    "lemma1_tail_beta": (lambda v: lemma1_tail(0.5, v, 16, 0.01, 0.3), "beta", " >= 0", -1.0, 0),
     "thm2_bound_noisy_beta": (
         lambda v: thm2_bound(_unchecked_inputs(beta=v)), "beta", " > 0", 0.0, 1
     ),
@@ -198,5 +200,45 @@ def test_real_boundaries_share_one_rule(boundary, kind):
     if boundary == "cli_sigma_sq" and "bool" in kind:
         # The text "True" is not a float to begin with.
         message = "config key 'sigma_sq' expects float, got 'True'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# Every sigma and beta boundary, where the value is squared: (call with the
+# value, name).
+SCALE_BOUNDARIES = {
+    "guarantee_sigma": (lambda v: _inputs(sigma=v), "sigma"),
+    "guarantee_beta": (lambda v: _inputs(beta=v), "beta"),
+    "config_sigma": (lambda v: _config(sigma=v), "sigma"),
+    "config_swept_sigma": (lambda v: _config(sweep="sigma", sweep_values=(v,)), "sigma"),
+    "synthesize_sigma": (
+        lambda v: synthesize(D, draw_sparse_signal(_gen(), 16, 2, 0.5, 1.0), v, _gen()), "sigma"
+    ),
+    "estimate_beta_sigma": (lambda v: estimate_beta(D, v, 4, RngStream(0, 0)), "sigma"),
+    "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 0.01, 16), "beta"),
+    "alpha_from_beta_sigma": (lambda v: alpha_from_beta(0.05, v, 16), "sigma"),
+    "thm2_bound_noisy_beta": (lambda v: thm2_bound(_unchecked_inputs(beta=v)), "beta"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind", ["underflow", "subnormal_square", "overflow", "smallest", "largest"]
+)
+@pytest.mark.parametrize("boundary", SCALE_BOUNDARIES)
+def test_scale_boundaries_share_one_rule(boundary, kind):
+    # sigma and beta enter the bounds squared: 2 sigma^2 underflowed to a
+    # ZeroDivisionError at 1e-300, beta^2 overflowed at 1e200, and a
+    # subnormal square at 1e-160 gave thm1_prob=0.9994997481538116 where
+    # every normal sigma with the same beta/sigma gives 0.9994997241638214.
+    call, name = SCALE_BOUNDARIES[boundary]
+    smallest, largest = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    if kind in ("smallest", "largest"):
+        call(smallest if kind == "smallest" else largest)  # accepted: its square is normal
+        return
+    value = {"underflow": 1e-300, "subnormal_square": 1e-160, "overflow": 1e200}[kind]
+    message = (
+        f"{name} must square to a normal float: when positive, in "
+        f"[1.492e-154, 1.341e+154], got {value!r}"
+    )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)

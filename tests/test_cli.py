@@ -271,6 +271,26 @@ def test_sweep_byte_identical_across_runs_and_workers(tmp_path, sweep_config, ki
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# Every row of the m=32 and m=64 sweeps above has thm2_prob=0.0; at m=1024
+# thm2 is above zero at every point, so this sweep pins its bits.
+THM2_SWEEP = [
+    "sweep", "--seed", "5", "--set", "m=1024", "--set", "sweep=tau", "--set", "sweep_values=2,4,8",
+    "--set", "s_min=0.5", "--set", "s_max=1", "--set", "sigma=0.005", "--set", "trials=20",
+    "--set", "beta_draws=500",
+]
+THM2_PROBS = ["0.9164265857792422", "0.9142816987100679", "0.905231873110694"]
+
+
+def test_sweep_thm2_bits_byte_identical_across_workers(tmp_path):
+    texts = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main(THM2_SWEEP + ["--out", str(out), "--workers", str(workers)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert [row["thm2_prob"] for row in csv.DictReader(io.StringIO(texts[0]))] == THM2_PROBS
+
+
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
 def test_sweep_csv_byte_identical_at_any_chunking(tmp_path, sweep_config, kind, monkeypatch):
     # A point's trials are cut into min(_CHUNKS, trials) chunks, each solved
@@ -401,6 +421,47 @@ def test_sweep_rejects_non_finite_input(tmp_path, sweep_config, capsys, override
         argv += ["--set", item]
     assert main(argv) == 1
     assert "must be a finite real" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def _sweep_sigma_at(value):
+    return lambda config, out: [
+        "sweep", "--config", str(config), "--out", str(out),
+        "--set", "sweep=sigma", "--set", f"sweep_values=0.01,{value}", "--set", "tau=2",
+    ]
+
+
+# Each once ended in a ZeroDivisionError or OverflowError traceback, the
+# sweeps after every trial had run; at 1e-160 the sweep wrote a wrong
+# thm1_prob.  (argv from the sweep config and output path, name, value)
+SCALE_REFUSALS = {
+    "bound_sigma_underflow": (lambda c, o: _bound_with("--sigma", "1e-300"), "sigma", 1e-300),
+    "bound_sigma_overflow": (lambda c, o: _bound_with("--sigma", "1e200"), "sigma", 1e200),
+    "bound_beta_overflow": (lambda c, o: _bound_with("--beta", "1e200"), "beta", 1e200),
+    "beta_sigma_overflow": (
+        lambda c, o: ["beta", "-m", "64", "--sigma", "1e200", "--draws", "10"], "sigma", 1e200
+    ),
+    "sweep_sigma_underflow": (_sweep_sigma_at("1e-300"), "sigma", 1e-300),
+    "sweep_sigma_subnormal_square": (_sweep_sigma_at("1e-160"), "sigma", 1e-160),
+}
+
+
+@pytest.mark.parametrize("case", SCALE_REFUSALS)
+def test_sigma_and_beta_without_a_normal_square_are_one_line(
+    tmp_path, sweep_config, capsys, monkeypatch, case
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial or the beta pass ran for a refused sweep value")
+
+    monkeypatch.setattr(montecarlo, "_count_successes", unreachable)
+    monkeypatch.setattr(montecarlo, "unit_correlation_max", unreachable)
+    argv, name, value = SCALE_REFUSALS[case]
+    out = tmp_path / "never.csv"
+    assert main(argv(sweep_config, out)) == 1
+    assert _one_line_error(capsys) == (
+        f"error: {name} must square to a normal float: when positive, in "
+        f"[1.492e-154, 1.341e+154], got {value!r}"
+    )
     assert not out.exists()
 
 
