@@ -213,12 +213,15 @@ def alpha_from_beta(beta: float, sigma: float, n: int) -> AlphaBeta:
 
     A nonpositive ``alpha`` is flagged via ``valid=False`` rather than
     raised: the caller decides whether the sharp-condition guarantee is
-    usable.
+    usable.  A ratio ``beta / sigma`` so large that ``alpha`` overflows is
+    refused, naming both.
     """
     require_scale("beta", beta, gt=0)
     require_scale("sigma", sigma, gt=0)
     require_int("n", n, 2)
-    alpha = beta**2 / (2.0 * sigma**2 * math.log(n)) - 1.0
+    ratio = beta**2 / (2.0 * sigma**2 * math.log(n))
+    require_real(f"beta^2 / (2 sigma^2 log n) at beta={beta!r}, sigma={sigma!r}", ratio)
+    alpha = ratio - 1.0
     return AlphaBeta(alpha=alpha, valid=alpha > 0)
 
 

@@ -50,8 +50,10 @@ def _parse_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = val
     return values
 
 
@@ -198,8 +200,10 @@ def _cmd_sweep(args) -> int:
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        overrides[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in item.partition("="))
+        if key in overrides:
+            raise ValueError(f"--set gives key {key!r} twice")
+        overrides[key] = val
     if {"sigma", "sigma_sq"} & overrides.keys():
         # The aliases name one knob: an override of either replaces the file's.
         raw = {k: v for k, v in raw.items() if k not in ("sigma", "sigma_sq")}

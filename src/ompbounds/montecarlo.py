@@ -4,13 +4,14 @@ A point runs ``trials`` independent trials: draw a sparse signal, add
 noise, run OMP for exactly ``tau`` iterations, and count the trial as a
 success when the recovered support equals the planted one
 (:func:`count_successes`); :func:`run_point` then puts the success count
-next to both bounds, thm1 as :func:`thm1` reports it.  Point ``i`` of a
-sweep draws a 64-bit point seed from ``SeedSequence((master_seed, 1 + i))``
-and its trial ``t = 1..trials`` owns the stream ``(point_seed, t)``; the
-outcome is an integer success count, so results are bit-identical
-regardless of execution order or degree of parallelism.  The worst-case
-``beta`` estimate runs on ``(master_seed, 0)``, which no trial stream can
-equal, so ``beta_draws`` never shifts the trials.
+next to both bounds at the point's :class:`GuaranteeInputs`, thm1 as
+:func:`thm1` reports it.  Point ``i`` of a sweep draws a 64-bit point seed
+from ``SeedSequence((master_seed, 1 + i))`` and its trial ``t = 1..trials``
+owns the stream ``(point_seed, t)``; the outcome is an integer success
+count, so results are bit-identical regardless of execution order or
+degree of parallelism.  The worst-case ``beta`` estimate runs on
+``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
+never shifts the trials.
 
 A chunk of trials draws each trial's signal and noise in trial order and
 solves them with one lockstep ``omp`` call per sub-batch; a row's result
@@ -21,9 +22,10 @@ trial chunks, cut alike on any host; results are taken in that order.  One
 worker runs each task when its result is reached; a process pool is given
 every task before any result is awaited, so the ``beta`` pass runs alongside
 the trials.  The pool is imported only then, so a serial process never
-loads ``multiprocessing``.  Neither the schedule nor the chunking changes a
-result.  Counts, ``tau``, seeds and ``workers`` may be numpy integers; a
-record stores counts as ``int``.
+loads ``multiprocessing``.  Every point's bound inputs are checked as soon
+as the ``beta`` pass returns, before any trial result is taken.  Neither
+the schedule nor the chunking changes a result.  Counts, ``tau``, seeds and
+``workers`` may be numpy integers; a record stores counts as ``int``.
 """
 
 import math
@@ -210,47 +212,30 @@ def thm1(g: GuaranteeInputs, alpha: float | None = None) -> tuple[bool, float, f
 
 
 def run_point(
-    d: Dictionary,
-    tau: int,
-    s_min: float,
-    s_max: float,
-    sigma: float,
-    trials: int,
-    beta: float,
-    successes: int,
-    *,
-    param_value: float = math.nan,
+    g: GuaranteeInputs, trials: int, successes: int, *, param_value: float = math.nan
 ) -> SweepResult:
-    """The record of one parameter point: ``successes`` of ``trials``, plus both bounds.
+    """The record of one parameter point: ``successes`` of ``trials``, plus both bounds at ``g``.
 
-    ``beta`` is the (externally estimated) worst-case noise correlation;
-    both theoretical columns are evaluated with it, thm1 by :func:`thm1`.
-    The success count comes from :func:`count_successes` or, in a sweep,
-    from the trials that :func:`run_sweep` schedules.
+    ``g.beta`` is the (externally estimated) worst-case noise correlation;
+    both theoretical columns are evaluated at ``g``, thm1 by :func:`thm1`,
+    and the record's point parameters are ``g``'s.  The success count comes
+    from :func:`count_successes` or, in a sweep, from the trials that
+    :func:`run_sweep` schedules.
     """
     require_int("trials", trials, 1)
     require_int("successes", successes, 0, trials)
     trials, successes = int(trials), int(successes)
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    g = GuaranteeInputs(
-        n=d.n,
-        tau=tau,
-        mu_max=d.mutual_coherence(),
-        s_min=s_min,
-        s_max=s_max,
-        sigma=sigma,
-        beta=beta,
-    )
     breakdown = thm2_bound(g)
     cond1, prob1, _, _ = thm1(g)
     return SweepResult(
         param_value=float(param_value),
-        tau=int(tau),
-        s_min=float(s_min),
-        s_max=float(s_max),
-        sigma=float(sigma),
-        beta=float(beta),
+        tau=int(g.tau),
+        s_min=float(g.s_min),
+        s_max=float(g.s_max),
+        sigma=float(g.sigma),
+        beta=float(g.beta),
         trials=trials,
         successes=successes,
         empirical_prob=p_hat,
@@ -282,11 +267,15 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     one worker each task runs in this process when its result is reached, so
     nothing after a failed trial runs.  At more, every task is submitted to
     one process pool before any result is awaited, so the ``beta`` pass runs
-    alongside the trials and no point waits for the one before it.  Records
-    are built in sweep order, so the first failure in sweep order is the one
-    raised, whatever finished first; on any exception the chunks not yet
-    started are cancelled.  Every number returned is independent of the
-    schedule and of ``workers``.
+    alongside the trials and no point waits for the one before it.  Once the
+    ``beta`` pass returns, every point's :class:`GuaranteeInputs` is built
+    before any trial result is taken, so a point whose bound inputs break a
+    rule (a ``beta`` without a normal square, say) stops the sweep at once:
+    at one worker before any trial runs.  Records are then built in sweep
+    order, so the first failure in sweep order is the one raised, whatever
+    finished first; on any exception the chunks not yet started are
+    cancelled.  Every number returned is independent of the schedule and of
+    ``workers``.
     """
     n_chunks = min(_CHUNKS, cfg.trials)
     # A worker beyond the task count would never get a task.
@@ -296,14 +285,14 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     tasks = [partial(unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0))]
     points = []
     for i, value in enumerate(cfg.sweep_values):
-        tau, s_min, sigma = cfg.point(value)
+        tau, s_min, sigma = point = cfg.point(value)
         seed = _point_master_seed(cfg.master_seed, i)
         args = (d, tau, s_min, cfg.s_max, sigma, seed)
         tasks += [
             partial(_count_successes, *args, lo, hi, float(value))
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
-        points.append((value, tau, s_min, sigma))
+        points.append(point)
     pool = None
     if workers > 1:
         # Imported here, so that a serial process never loads multiprocessing.
@@ -317,19 +306,14 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
             futures = [pool.submit(task) for task in tasks]
             outcomes = (f.result() for f in futures)
         unit_max = next(outcomes)
+        mu_max = d.mutual_coherence()
+        inputs = [
+            GuaranteeInputs(d.n, tau, mu_max, s_min, cfg.s_max, sigma, sigma * unit_max)
+            for tau, s_min, sigma in points
+        ]
         return [
-            run_point(
-                d,
-                tau,
-                s_min,
-                cfg.s_max,
-                sigma,
-                cfg.trials,
-                sigma * unit_max,
-                sum(islice(outcomes, n_chunks)),
-                param_value=float(value),
-            )
-            for value, tau, s_min, sigma in points
+            run_point(g, cfg.trials, sum(islice(outcomes, n_chunks)), param_value=float(value))
+            for g, value in zip(inputs, cfg.sweep_values)
         ]
     finally:
         if pool is not None:

@@ -159,7 +159,8 @@ def test_criterion_4_bound_soundness_desk_scale():
             successes = count_successes(
                 d, tau, 0.5, 1.0, sigma, 1000, GRID_SEED + tau, param_value=tau
             )
-            r = run_point(d, tau, 0.5, 1.0, sigma, 1000, beta, successes, param_value=tau)
+            g = GuaranteeInputs(d.n, tau, d.mutual_coherence(), 0.5, 1.0, sigma, beta)
+            r = run_point(g, 1000, successes, param_value=tau)
             if r.thm2_condition and r.thm2_prob > r.empirical_prob + 3 * r.mc_stderr:
                 failures.append(
                     f"sigma^2={sigma_sq}, tau={tau}: thm2 {r.thm2_prob:.4f} > "

@@ -70,10 +70,10 @@ BOUNDARIES = {
         lambda v: count_successes(D, 2, 0.5, 1.0, 0.01, 4, v), "master_seed", 0, None, -1
     ),
     "run_point_trials": (
-        lambda v: run_point(D, 2, 0.5, 1.0, 0.01, v, 0.05, 1), "trials", 1, None, 0
+        lambda v: run_point(_inputs(), v, 1), "trials", 1, None, 0
     ),
     "run_point_successes": (
-        lambda v: run_point(D, 2, 0.5, 1.0, 0.01, 4, 0.05, v), "successes", 0, 4, 5
+        lambda v: run_point(_inputs(), 4, v), "successes", 0, 4, 5
     ),
     "guarantee_n": (lambda v: _inputs(n=v), "n", 2, None, 1),
     "guarantee_tau": (lambda v: _inputs(tau=v), "tau", 1, 16, 17),
@@ -215,7 +215,9 @@ SCALE_BOUNDARIES = {
         lambda v: synthesize(D, draw_sparse_signal(_gen(), 16, 2, 0.5, 1.0), v, _gen()), "sigma"
     ),
     "estimate_beta_sigma": (lambda v: estimate_beta(D, v, 4, RngStream(0, 0)), "sigma"),
-    "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 0.01, 16), "beta"),
+    # At sigma = 1 the largest beta still gives a finite alpha; at 0.01 its
+    # alpha overflows, which alpha_from_beta refuses by a rule of its own.
+    "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 1.0, 16), "beta"),
     "alpha_from_beta_sigma": (lambda v: alpha_from_beta(0.05, v, 16), "sigma"),
     "thm2_bound_noisy_beta": (lambda v: thm2_bound(_unchecked_inputs(beta=v)), "beta"),
 }
@@ -242,3 +244,16 @@ def test_scale_boundaries_share_one_rule(boundary, kind):
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def test_alpha_from_beta_refuses_a_ratio_whose_alpha_overflows():
+    # beta and sigma each square to a normal float, but beta^2 / (2 sigma^2
+    # log n) does not fit a float; alpha = inf once reached thm1_probability,
+    # which refused it by a name the caller never set.
+    largest = math.sqrt(sys.float_info.max)
+    message = (
+        f"beta^2 / (2 sigma^2 log n) at beta={largest!r}, sigma=0.01 "
+        "must be a finite real, got inf"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        alpha_from_beta(largest, 0.01, 16)

@@ -186,6 +186,20 @@ def test_bound_rejects_out_of_range_input(capsys, flag, value):
     assert flag[2:] in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("sigma", ["1.5e-154", "1e-150"])
+def test_bound_refuses_a_ratio_whose_derived_alpha_overflows(capsys, sigma):
+    # Each of beta and sigma passes its own rule, but beta^2 / (2 sigma^2
+    # log n) overflows; this once named alpha, which was never given.
+    argv = _bound_with("--sigma", sigma)
+    argv[argv.index("--mu-max") + 1] = "0.03125"
+    argv[argv.index("--beta") + 1] = "1e10"
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == (
+        f"error: beta^2 / (2 sigma^2 log n) at beta=10000000000.0, sigma={float(sigma)!r} "
+        "must be a finite real, got inf"
+    )
+
+
 def test_beta_rejects_nan_sigma(capsys):
     assert main(["beta", "-m", "16", "--sigma", "nan", "--draws", "10"]) == 1
     assert "must be a finite real" in _one_line_error(capsys)
@@ -353,6 +367,22 @@ def test_sweep_unknown_key_rejected(tmp_path, sweep_config, capsys):
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_key_given_twice_in_one_source_rejected(tmp_path, sweep_config, capsys):
+    # The last of two values once won without a word; a --set key may still
+    # override the file's.
+    out = tmp_path / "never.csv"
+    doubled = tmp_path / "doubled.cfg"
+    doubled.write_text(sweep_config.read_text() + "tau = 5\ntau=6\n")
+    lines = sweep_config.read_text().count("\n")
+    assert main(["sweep", "--config", str(doubled), "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == f"error: {doubled}:{lines + 2}: duplicate key 'tau'"
+    argv = ["sweep", "--config", str(sweep_config), "--set", "trials=5", "--set", "trials=6"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: --set gives key 'trials' twice"
+    assert not out.exists()
+    assert main(argv[:-2] + ["--out", str(out)]) == 0
 
 
 def test_sweep_trials_zero_rejected(tmp_path, sweep_config, capsys):
@@ -680,7 +710,7 @@ def _thm1_point(tau, sigma, beta, *extra):
         "bound", "--n", "128", "--tau", str(tau), "--mu-max", repr(d.mutual_coherence()),
         "--s-min", "0.5", "--s-max", "1", "--sigma", repr(sigma), "--beta", repr(beta), *extra,
     ]
-    return d, g, argv
+    return g, argv
 
 
 @pytest.mark.parametrize("tau", [1, 3, 5])
@@ -688,19 +718,19 @@ def _thm1_point(tau, sigma, beta, *extra):
 def test_thm1_same_in_sweep_point_and_bound(capsys, tau, point):
     # thm1, a sweep point and `ompbounds bound` each report the table's value.
     (sigma, beta), rows = THM1_TABLE[point]
-    d, g, argv = _thm1_point(tau, sigma, beta)
+    g, argv = _thm1_point(tau, sigma, beta)
     if rows is None:
         with pytest.raises(ValueError, match="^beta must be a finite real > 0, got 0.0$"):
             thm1(g)
         with pytest.raises(ValueError, match="^beta must be a finite real > 0, got 0.0$"):
-            run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
+            run_point(g, 1, 0)
         assert main(argv) == 1
         assert _one_line_error(capsys) == "error: beta must be a finite real > 0, got 0.0"
         return
     cond, prob, source = rows[(1, 3, 5).index(tau)]
     cond1, prob1, alpha, source1 = thm1(g)
     assert (cond1, prob1, source1) == (cond, prob, source)
-    r = run_point(d, tau, 0.5, 1.0, sigma, 1, beta, 0)
+    r = run_point(g, 1, 0)
     assert (r.thm1_condition, r.thm1_prob) == (cond, prob)
     assert main(argv) == 0
     got = _kv(_lines(capsys))
@@ -719,7 +749,7 @@ def test_thm1_same_in_sweep_point_and_bound(capsys, tau, point):
 )
 def test_thm1_given_alpha(capsys, tau, sigma, beta, cond, prob):
     # A given alpha is used as is, noiseless or not.
-    _, g, argv = _thm1_point(tau, sigma, beta, "--alpha", "1.0")
+    g, argv = _thm1_point(tau, sigma, beta, "--alpha", "1.0")
     assert thm1(g, 1.0) == (cond, prob, 1.0, "given")
     assert main(argv) == 0
     got = _kv(_lines(capsys))
@@ -728,6 +758,6 @@ def test_thm1_given_alpha(capsys, tau, sigma, beta, cond, prob):
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0])
 def test_thm1_rejects_given_alpha_not_positive(alpha):
-    _, g, _ = _thm1_point(1, 0.01, 0.05)
+    g, _ = _thm1_point(1, 0.01, 0.05)
     with pytest.raises(ValueError, match=f"^alpha must be a finite real > 0, got {alpha}$"):
         thm1(g, alpha)

@@ -6,7 +6,10 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 from ompbounds import (
     ExperimentConfig,
+    GuaranteeInputs,
     SingularSystemError,
     build_identity_hadamard,
     count_successes,
@@ -31,7 +35,8 @@ REGRESSION_SUCCESSES = 1000
 def test_tau_one_noiseless_always_recovers():
     d = build_identity_hadamard(64)
     successes = count_successes(d, 1, 0.5, 1.0, 0.0, 200, 99, param_value=1)
-    r = run_point(d, 1, 0.5, 1.0, 0.0, 200, 0.0, successes, param_value=1)
+    g = GuaranteeInputs(d.n, 1, d.mutual_coherence(), 0.5, 1.0, 0.0, 0.0)
+    r = run_point(g, 200, successes, param_value=1)
     assert r.successes == r.trials == 200
     assert r.empirical_prob == 1.0
     assert r.mc_stderr == 0.0
@@ -45,7 +50,8 @@ def test_tau_one_noiseless_always_recovers():
 def test_low_noise_regression_point():
     d = build_identity_hadamard(1024)
     successes = count_successes(d, 20, 0.5, 1.0, 1e-3, 1000, 123, param_value=20)
-    r = run_point(d, 20, 0.5, 1.0, 1e-3, 1000, 0.00581, successes, param_value=20)
+    g = GuaranteeInputs(d.n, 20, d.mutual_coherence(), 0.5, 1.0, 1e-3, 0.00581)
+    r = run_point(g, 1000, successes, param_value=20)
     assert r.empirical_prob >= 0.99
     assert r.successes == REGRESSION_SUCCESSES
 
@@ -61,12 +67,12 @@ def test_low_noise_regression_point():
 )
 def test_run_point_counts_are_integers(trials, successes, bad):
     # Both counts reach the CSV, where only a Python int is written as one.
-    d = build_identity_hadamard(64)
+    g = GuaranteeInputs(128, 2, 0.125, 0.5, 1.0, 0.01, 0.05)
     value = {"trials": trials, "successes": successes}[bad]
     bounds = {"trials": ">= 1", "successes": "in [0, 40]"}[bad]
     message = f"{bad} must be an integer {bounds}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_point(d, 2, 0.5, 1.0, 0.01, trials, 0.05, successes)
+        run_point(g, trials, successes)
 
 
 def test_numpy_trials_write_the_same_csv():
@@ -235,6 +241,42 @@ def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
         run_sweep(cfg)
     assert (exc.value.param_value, exc.value.trial) == (0.5, 18)
     assert rows == [37]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_refuses_a_point_beta_before_its_trials(monkeypatch, workers):
+    # sigma = 1e154 passes the scale rule, but beta = sigma * unit_max does
+    # not.  Every point's bound inputs are built once the beta pass returns:
+    # at one worker no trial runs (once every trial ran, and omp overflowed,
+    # before the refusal).  Threads stand in for the worker processes, so
+    # one counter sees every trial; a point is 8 chunks, each one omp call.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+    cfg = ExperimentConfig(
+        m=64, sweep="sigma", sweep_values=(0.01, 1e154), tau=2, s_min=0.5, s_max=1.0,
+        sigma=0.01, trials=50, beta_draws=100,
+    )
+    rows = []
+    real = montecarlo.omp
+
+    def counting(d, y, tau):
+        rows.append(len(y))
+        time.sleep(0.005)
+        return real(d, y, tau)
+
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    message = (
+        "beta must square to a normal float: when positive, in [1.492e-154, 1.341e+154], "
+        "got 4.62495889024863e+154"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(cfg, workers=workers)
+    if workers == 1:
+        assert rows == []
+    else:
+        # The chunks not yet started when the beta pass returned are cancelled.
+        assert sum(rows) < 2 * cfg.trials
 
 
 def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
