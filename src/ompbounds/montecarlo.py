@@ -52,13 +52,18 @@ SWEEP_KINDS = ("tau", "s_min", "sigma")
 
 # Memory for one lockstep omp call's per-row buffers: three of length 2 m
 # (the first scores, the current scores and the coefficients) and the
-# (tau, tau) inverse Gram.  At m = 1024 that is 21 rows at tau = 2, 13 at
-# 60 and 2 at 200.  A larger batch amortizes more of each iteration's fixed
-# cost but raises a serial sweep's peak memory.
+# (tau, tau) factor U of the inverse Gram.  At m = 1024 that is 21 rows at
+# tau = 2, 13 at 60 and 2 at 200.  A larger batch amortizes more of each
+# iteration's fixed cost but raises a serial sweep's peak memory.
 _OMP_BATCH_BYTES = 2**20
 
 # Trial chunks per sweep point (fewer if there are fewer trials), on any host.
-_CHUNKS = 8
+# Fewer chunks make larger lockstep batches but leave less to share among
+# workers: a 64-trial point at m = 1024 runs as five batches of 12-13 rows,
+# up to the 13 that fit at tau = 60.  Five is the fewest at which a point of
+# five trials still solves each trial in its own omp call, which the
+# benchmark's span tests count.
+_CHUNKS = 5
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@
 (the support-size comparison used throughout the experiments assumes the
 sparsity is known), selecting at each step the atom most correlated with
 the current residual and extending the least-squares fit on the whole
-active set through its inverse Gram matrix.  A batch of measurements, such
-as a Monte Carlo chunk's trials, is solved in lockstep, one row each.
+active set through a factored inverse Gram matrix.  A batch of
+measurements, such as a Monte Carlo chunk's trials, is solved in lockstep,
+one row each.
 Its references live in ``tests/oracles.py``: ``omp_qr``, a scalar solver
 that updates a QR factorization of the built atoms, a from-scratch
 re-solving OMP and an exhaustive best-support search.
@@ -21,9 +22,10 @@ from .dictionary import Dictionary
 # A candidate atom whose squared distance to the active span, the Gram
 # pivot ``1 - g^T G^-1 g``, falls below this makes the active set
 # numerically singular.  A duplicated atom, and every singular set seen on
-# the identity-Hadamard dictionary, gives exactly 0 in exact arithmetic;
-# the smallest regular pivot seen there was 0.25 at m=16 and 0.135 at m=64
-# (tau up to m), and 0.96 at m=1024 (tau up to 60).
+# the identity-Hadamard dictionary, gives exactly 0 in exact arithmetic and
+# at most 1.1e-16 under the factored G^-1.  The smallest regular pivot seen
+# there was 0.5 at m=4, 0.167 at m=16 and 0.1 at m=64 (tau up to m), 0.964
+# at m=1024 (tau up to 60) and 0.918 at m=4096 (tau 300 and 600).
 PIVOT_TOL = 1e-10
 
 
@@ -87,9 +89,12 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     atom's exact Gram entries against the active set (``d.gram``),
     ``v = G^-1 g`` and the pivot ``1 - g^T v``, the new coefficient is
     ``t = (<A_j, y> - g^T x) / pivot`` and the old ones move by ``-t v``.
-    The residual ``y - A_I x`` is one ``d.apply`` per iteration, and every
-    reduction is a stacked matrix product, so a row's result does not
-    depend on its batch.
+    ``G^-1`` is kept factored as ``U^T D U``: iteration ``i`` appends the
+    row ``u_i = [-v_i, 1]`` to ``U`` and ``1 / pivot_i`` to the diagonal
+    ``D``, so ``v = U^T (D (U g))`` costs two products and no update of
+    ``G^-1``.  The residual ``y - A_I x`` is one ``d.apply`` per iteration,
+    and every reduction is a stacked matrix product, so a row's result does
+    not depend on its batch.
 
     Results have the batch shape of ``y``: ``(tau,)`` or ``(B, tau)``.
     Raises ``ValueError`` for a ``y`` of another shape or with a NaN or
@@ -113,9 +118,11 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     scores = np.empty_like(alpha0)
     dense = np.zeros_like(alpha0)  # x scattered over all n atoms
     residual = np.empty_like(ys)
-    ginv = np.zeros((batch, tau, tau))
+    # G^-1 = U^T D U: row i of U is iteration i's u_i = [-v_i, 1], zero-padded,
+    # and D = diag(1 / pivot_i).
+    factor = np.zeros((batch, tau, tau))
+    pivots = np.ones((batch, tau))
     x = np.zeros((batch, tau))
-    u = np.zeros((batch, tau))  # [-v, 1]: the direction the fit grows in
     selected = np.zeros((batch, tau), dtype=np.int64)
     history = np.zeros((batch, tau))
     singular_at = np.zeros(batch, dtype=np.int64)  # 1-based iteration, 0 while regular
@@ -131,7 +138,8 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
         g = d.gram(active, j)[:, None, :]
         if frozen is not None:
             g[frozen] = 0.0  # pivot 1 and t 0: a frozen row's fit stays put
-        v = ginv[:, :k, :k] @ g.transpose(0, 2, 1)
+        f = factor[:, :k, :k]
+        v = f.transpose(0, 2, 1) @ ((f @ g.transpose(0, 2, 1)) / pivots[:, :k, None])
         pivot = 1.0 - (g @ v)[:, 0, 0]
         fresh = pivot < PIVOT_TOL
         if fresh.any():
@@ -143,12 +151,12 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
         if frozen is not None:
             t[frozen] = 0.0
 
-        # G^-1 grows by u u^T / pivot and x by t u, with u = [-v, 1].
+        # U gains the row u = [-v, 1] and D the pivot; x grows by t u.
+        u = factor[:, k, : k + 1]
         np.negative(v[:, :, 0], out=u[:, :k])
         u[:, k] = 1.0
-        uk = u[:, : k + 1]
-        ginv[:, : k + 1, : k + 1] += (uk / pivot[:, None])[:, :, None] * uk[:, None, :]
-        x[:, : k + 1] += t[:, None] * uk
+        pivots[:, k] = pivot
+        x[:, : k + 1] += t[:, None] * u
         dense[rows[:, None], selected[:, : k + 1]] = x[:, : k + 1]
         np.subtract(ys, d.apply(dense, out=residual), out=residual)
         history[:, k] = np.sqrt((residual[:, None, :] @ residual[:, :, None])[:, 0, 0])

@@ -170,6 +170,12 @@ def test_criterion_4_bound_soundness_desk_scale():
 
 
 def test_criterion_5_lemma1_empirical_dominance():
+    """Lemma 1's Bernstein tail bounds every off-support atom's Monte Carlo tail at m=8.
+
+    It checks the ``tau gamma^2`` budget: ``N`` terms of variance
+    ``nu = (tau / N) gamma^2``.  thm2's ``p2`` sums ``tau`` such terms, a
+    budget of ``tau^2 gamma^2 / N``, which this criterion does not check.
+    """
     started = time.time()
     failures = []
     m, tau, s_min, s_max, sigma = 8, 2, 0.5, 1.0, 0.01

@@ -113,6 +113,12 @@ def test_lemma1_reproduces_p2_at_xi_half_smin():
 
 
 def test_lemma1_dominates_monte_carlo_tail():
+    """Lemma 1's Bernstein tail bounds the Monte Carlo tail under the ``tau gamma^2`` budget.
+
+    The bound sums ``N`` terms of variance ``nu = (tau / N) gamma^2``, a
+    budget of ``N nu = tau gamma^2``.  thm2's ``p2`` sums ``tau`` such terms,
+    a budget of ``tau^2 gamma^2 / N``; this test does not check that form.
+    """
     # m=8 instance: empirical tail of |<A_j, A s + w>| for every j off the
     # support, conditioned on the |<A_j, w>| <= beta hypothesis.
     m, tau, s_min, s_max, sigma = 8, 2, 0.5, 1.0, 0.01

@@ -309,14 +309,14 @@ def test_sweep_thm2_bits_byte_identical_across_workers(tmp_path):
 def test_sweep_csv_byte_identical_at_any_chunking(tmp_path, sweep_config, kind, monkeypatch):
     # A point's trials are cut into min(_CHUNKS, trials) chunks, each solved
     # as lockstep batches, so the batches change with the count (40, 13 or
-    # 14, and 5 trials here) and the CSV must not.
+    # 14, 8, and 5 trials here) and the CSV must not.
     texts = []
-    for chunks in (1, 3, 8):
+    for chunks in (1, 3, 5, 8):
         monkeypatch.setattr(montecarlo, "_CHUNKS", chunks)
         out = tmp_path / f"chunks{chunks}.csv"
         assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
@@ -497,7 +497,7 @@ def test_sigma_and_beta_without_a_normal_square_are_one_line(
 
 @pytest.mark.parametrize(
     "workers",
-    [0, -1, 26, 10**6],
+    [0, -1, 17, 10**6],
     ids=["zero", "negative", "tasks_plus_one", "huge"],
 )
 def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monkeypatch, workers):
@@ -509,8 +509,8 @@ def test_sweep_rejects_out_of_range_workers(tmp_path, sweep_config, capsys, monk
     out = tmp_path / "never.csv"
     argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--workers", str(workers)]
     assert main(argv) == 1
-    # The beta pass and 8 chunks for each of 3 points: 25 tasks.
-    assert _one_line_error(capsys) == f"error: workers must be an integer in [1, 25], got {workers}"
+    # The beta pass and 5 chunks for each of 3 points: 16 tasks.
+    assert _one_line_error(capsys) == f"error: workers must be an integer in [1, 16], got {workers}"
     assert not out.exists()
 
 
@@ -637,10 +637,11 @@ def test_sweep_singular_points_report_the_first_at_any_worker_count(tmp_path, ca
 
 def test_failed_sweep_cancels_the_chunks_not_started(tmp_path, capsys, monkeypatch):
     # Threads stand in for the worker processes, so one counter sees every
-    # trial.  Each chunk is solved whole, so uncancelled all 600 trials
-    # reach omp.  Once the chunk with point 0's trial 18 fails, only chunks
-    # already started may finish (two or three chunks of 37-38 trials on two
-    # cores); the sleep keeps the workers from running ahead meanwhile.
+    # trial.  A point is 5 chunks of 60 trials, each solved as one omp
+    # batch, so uncancelled all 10 chunks reach omp.  Once the chunk with
+    # point 0's trial 18 fails, only chunks already started may finish: the
+    # one beside it, and one more on each worker before the cancel lands, so
+    # at most 4 chunks.  The sleep keeps the workers from running ahead.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     rows = []
     real = montecarlo.omp
@@ -658,7 +659,8 @@ def test_failed_sweep_cancels_the_chunks_not_started(tmp_path, capsys, monkeypat
     seed = _point_master_seed(0, 0)
     assert f"sweep value 0.5, trial 18 on stream ({seed}, 18): " in _one_line_error(capsys)
     # The pool stand-in was used: worker processes would count no row here.
-    assert 0 < sum(rows) < 200
+    assert set(rows) == {60}
+    assert 1 <= len(rows) <= 4
 
 
 def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypatch):

@@ -223,7 +223,7 @@ def test_singular_system_reports_trial():
 def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
     # Both points have singular trials; at one worker a chunk runs only when
     # its point's record is built, so nothing after the chunk that holds
-    # point 0's trial 18 runs.  A point is cut into 8 chunks: trials 1..37
+    # point 0's trial 18 runs.  A point is cut into 5 chunks: trials 1..60
     # first, one omp batch.
     cfg = ExperimentConfig(
         m=4, sweep="s_min", sweep_values=(0.5, 0.6), tau=4, s_min=0.5, s_max=1.0,
@@ -240,7 +240,7 @@ def test_serial_sweep_stops_at_the_first_singular_trial(monkeypatch):
     with pytest.raises(SingularSystemError) as exc:
         run_sweep(cfg)
     assert (exc.value.param_value, exc.value.trial) == (0.5, 18)
-    assert rows == [37]
+    assert rows == [60]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -249,7 +249,7 @@ def test_sweep_refuses_a_point_beta_before_its_trials(monkeypatch, workers):
     # not.  Every point's bound inputs are built once the beta pass returns:
     # at one worker no trial runs (once every trial ran, and omp overflowed,
     # before the refusal).  Threads stand in for the worker processes, so
-    # one counter sees every trial; a point is 8 chunks, each one omp call.
+    # one counter sees every trial; a point is 5 chunks, each one omp call.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     cfg = ExperimentConfig(
         m=64, sweep="sigma", sweep_values=(0.01, 1e154), tau=2, s_min=0.5, s_max=1.0,
@@ -301,8 +301,8 @@ def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         batches[cpus] = []
         assert run_sweep(cfg) == serial
-    # 8 chunks of 5 trials a point, each one omp batch.
-    assert list(batches.values()) == [[5] * 16] * 3
+    # 5 chunks of 8 trials a point, each one omp batch.
+    assert list(batches.values()) == [[8] * 10] * 3
 
 
 def test_count_successes_memory_is_bounded():

@@ -145,11 +145,22 @@ def test_omp_agrees_with_qr_oracle(m_tau, sigma, seed, zero):
     _assert_agrees_with_qr_oracle(d, y, tau)
 
 
-@pytest.mark.parametrize("tau", [10, 30, 60])
+# Seeds per tau at m=1024: fewer at tau=200, where omp_qr is slowest.
+SEEDS_AT_M1024 = {10: 6, 30: 6, 60: 6, 200: 2}
+
+
+@pytest.mark.parametrize("tau", sorted(SEEDS_AT_M1024))
 def test_omp_agrees_with_qr_oracle_at_m1024(tau):
-    for seed in range(6):
+    for seed in range(SEEDS_AT_M1024[tau]):
         d, _, meas = _planted(1024, tau, seed, sigma=(0.0, 1e-3, 0.1)[seed % 3])
         _assert_agrees_with_qr_oracle(d, meas.observed, tau)
+
+
+def test_omp_agrees_with_qr_oracle_at_m4096():
+    # A 300-atom fit, the largest here, on the way to the m=4096 transition
+    # (tau 500..1000), where the factored inverse Gram sums the most terms.
+    d, _, meas = _planted(4096, 300, 0, sigma=1e-3)
+    _assert_agrees_with_qr_oracle(d, meas.observed, 300)
 
 
 def _solved_alone(d, y, tau):
@@ -184,8 +195,8 @@ def _assert_rows_solved_alone(d, ys, tau):
 
 @pytest.mark.parametrize(
     "m,tau,sigma,rows",
-    [(4, 4, 0.0, 40), (64, 8, 0.01, 13), (1024, 30, 1e-3, 9)],
-    ids=["m4_singular", "m64", "m1024"],
+    [(4, 4, 0.0, 40), (64, 8, 0.01, 13), (1024, 30, 1e-3, 9), (4096, 300, 1e-3, 3)],
+    ids=["m4_singular", "m64", "m1024", "m4096"],
 )
 def test_batched_rows_bit_identical_to_rows_solved_alone(m, tau, sigma, rows):
     # At m = 4 and sigma = 0 the fourth pick comes from rounding noise, and
