@@ -30,6 +30,7 @@ pass ``checks.require_int``.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ from .signals import RngStream
 _EXP_SWITCH = 700.0
 # unit_correlation_max draws at most _BETA_BATCH noise vectors per
 # correlate_all call, and fewer when m is large: a batch's noise fits in
-# _BETA_BATCH_BYTES and its correlations in twice that.
+# _BETA_BATCH_BYTES and its correlations in twice that.  Two noise slots,
+# one being drawn while the other is correlated, hold twice a batch.
 _BETA_BATCH = 256
 _BETA_BATCH_BYTES = 2**18
 
@@ -230,28 +232,67 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
 
     The noise comes from one generator built from the stream ``rng``, drawn
     in batches of ``min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 m))`` vectors
-    (at least one): 256 at ``m = 64``, 32 at 1024, 8 at 4096.  The noise
-    and correlation buffers are allocated once per call and refilled for
-    every batch, so memory stays near ``4 * _BETA_BATCH_BYTES`` whatever
+    (at least one): 256 at ``m = 64``, 32 at 1024, 8 at 4096.  Drawing and
+    correlating overlap: the calling thread draws batch ``i + 1`` into one
+    of two noise slots while one helper thread correlates batch ``i`` in
+    the other and takes its maximum.  Both steps run numpy code that
+    releases the interpreter lock.  Batches are correlated in order, and a
+    slot is refilled only once its batch has been correlated.  The helper
+    is joined before this returns or raises, and an exception it raises is
+    raised here.  The buffers are allocated once per call and refilled for
+    every batch, so memory stays near ``5 * _BETA_BATCH_BYTES`` whatever
     ``m`` and ``draws`` are.  The vectors are drawn in one sequence and
     each correlation is computed row by row, so the value does not depend
-    on the batch size.  The estimate for noise level ``sigma`` is exactly
-    ``sigma`` times this value, so one pass serves every noise level under
-    the same stream.
+    on the batch size or on how the two threads interleave.  The estimate
+    for noise level ``sigma`` is exactly ``sigma`` times this value, so one
+    pass serves every noise level under the same stream.
     """
     require_int("draws", draws, 1)
+    # Built before the helper starts: while it runs, only the helper calls
+    # into the library, so a per-process span tracer sees one call stack.
     g = rng.generator()
     rows = max(1, min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 * d.m)))
-    noise = np.empty((rows, d.m))
+    batches = -(-draws // rows)
+    noise = np.empty((2, rows, d.m))
     corr = np.empty((rows, 2 * d.m))
-    best = 0.0
-    for start in range(0, draws, rows):
-        k = min(rows, draws - start)
-        u, c = noise[:k], corr[:k]
-        g.standard_normal(out=u)
-        d.correlate_all(u, out=c)
-        np.abs(c, out=c)
-        best = max(best, float(c.max()))
+    drawn = threading.Semaphore(0)  # batches drawn and not yet correlated
+    free = threading.Semaphore(2)  # noise slots that may be drawn into
+    best, error, stop = 0.0, None, False
+
+    def correlate():
+        nonlocal best, error
+        try:
+            for i in range(batches):
+                drawn.acquire()
+                if stop:
+                    return
+                k = min(rows, draws - i * rows)
+                c = corr[:k]
+                d.correlate_all(noise[i % 2, :k], out=c)
+                np.abs(c, out=c)
+                best = max(best, float(c.max()))
+                free.release()
+        except BaseException as exc:  # handed to the calling thread
+            error = exc
+            free.release()
+
+    helper = threading.Thread(target=correlate, name="unit_correlation_max")
+    helper.start()
+    try:
+        for i in range(batches):
+            free.acquire()
+            if error is not None:
+                break
+            g.standard_normal(out=noise[i % 2, : min(rows, draws - i * rows)])
+            drawn.release()
+    except BaseException:
+        stop = True
+        drawn.release()
+        raise
+    finally:
+        helper.join()
+    if error is not None:
+        raise error
     return best
 
 

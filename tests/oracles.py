@@ -10,6 +10,8 @@ every iteration, and the exhaustive search tries every support.
 ``dense_identity_hadamard`` builds the library's dictionary as a dense
 matrix from the butterfly, and ``DenseDictionary`` stands in for that
 dictionary where a test needs a matrix it cannot be.
+``unit_correlation_max_serial`` is the beta pass with no overlap: each batch
+is drawn, then correlated, on the calling thread.
 """
 
 import math
@@ -18,7 +20,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from ompbounds import OmpResult, SingularSystemError
+from ompbounds import OmpResult, SingularSystemError, bounds
 
 mp.mp.dps = 50
 
@@ -52,6 +54,27 @@ def fwht_butterfly(x):
 def dense_identity_hadamard(m):
     """The ``(m, 2m)`` matrix ``[I, H/sqrt(m)]``, with ``H`` from the butterfly."""
     return np.hstack([np.eye(m), fwht_butterfly(np.eye(m)) * (1.0 / math.sqrt(m))])
+
+
+def unit_correlation_max_serial(d, draws, rng):
+    """``bounds.unit_correlation_max`` as one loop: draw a batch, correlate it, repeat.
+
+    Same generator, draw order and batch shapes as the library, all on the
+    calling thread, so the two must agree bit for bit.
+    """
+    g = rng.generator()
+    rows = max(1, min(bounds._BETA_BATCH, bounds._BETA_BATCH_BYTES // (8 * d.m)))
+    noise = np.empty((rows, d.m))
+    corr = np.empty((rows, 2 * d.m))
+    best = 0.0
+    for start in range(0, draws, rows):
+        k = min(rows, draws - start)
+        u, c = noise[:k], corr[:k]
+        g.standard_normal(out=u)
+        d.correlate_all(u, out=c)
+        np.abs(c, out=c)
+        best = max(best, float(c.max()))
+    return best
 
 
 def beta_from_alpha(alpha, sigma, n):

@@ -1,6 +1,12 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from oracles import (
     rel_err,
     thm1_probability_oracle,
     thm2_oracle,
+    unit_correlation_max_serial,
 )
 
 # Pinned on first computation: m=1024, sigma=0.01, draws=1e4, stream (2024, 0).
@@ -363,6 +370,82 @@ def test_unit_correlation_max_batch_rows(monkeypatch, m, rows):
     monkeypatch.setattr(bounds.Dictionary, "correlate_all", spy)
     unit_correlation_max(build_identity_hadamard(m), 2 * rows + 1, RngStream(0, 0))
     assert seen == [(rows, m), (rows, m), (1, m)]
+
+
+@pytest.mark.parametrize("m,rows", [(2, 256), (64, 256), (1024, 32), (4096, 8)])
+def test_unit_correlation_max_bit_identical_to_serial_oracle(m, rows):
+    # Draw counts around one and two batches: a short last batch, a full
+    # one, and one row past it.
+    d = build_identity_hadamard(m)
+    for seed in (0, 7, 2024):
+        for draws in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            want = unit_correlation_max_serial(d, draws, RngStream(seed, 3))
+            assert unit_correlation_max(d, draws, RngStream(seed, 3)) == want
+
+
+class _SecondCallFails:
+    """Wraps a callable; its second call raises ``RuntimeError``."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second batch failed")
+        return self.fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("step", ["draw", "correlate"])
+def test_unit_correlation_max_raises_and_leaves_no_thread(monkeypatch, step):
+    # The second of three batches fails, in the calling thread (draw) or
+    # in the helper (correlate): the error reaches the caller, and no
+    # helper thread is left running.
+    d = build_identity_hadamard(64)
+    threads = threading.active_count()
+    assert unit_correlation_max(d, 600, RngStream(5, 0)) > 0
+    assert threading.active_count() == threads
+    if step == "correlate":
+        failing = _SecondCallFails(bounds.Dictionary.correlate_all)
+        monkeypatch.setattr(bounds.Dictionary, "correlate_all", lambda *a, **k: failing(*a, **k))
+    else:
+        real = RngStream.generator
+        failing = _SecondCallFails(None)
+
+        def generator(self):
+            failing.fn = real(self).standard_normal
+            return SimpleNamespace(standard_normal=failing)
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+    with pytest.raises(RuntimeError, match="second batch failed"):
+        unit_correlation_max(d, 600, RngStream(5, 0))
+    assert failing.calls == 2
+    assert threading.active_count() == threads
+
+
+# Run in a fresh interpreter: the beta pass's helper thread comes from
+# threading alone, so neither concurrent.futures nor the logging it loads
+# is imported.
+BETA_PASS_IMPORTS = """
+import sys
+from ompbounds import RngStream, build_identity_hadamard, unit_correlation_max
+assert unit_correlation_max(build_identity_hadamard(64), 600, RngStream(0, 0)) > 0
+print(" ".join(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+"""
+
+
+def test_beta_pass_loads_no_executor():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BETA_PASS_IMPORTS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_guarantee_inputs_validation():

@@ -3,7 +3,7 @@ import csv
 import io
 import os
 import stat
-import time
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -638,19 +638,42 @@ def test_sweep_singular_points_report_the_first_at_any_worker_count(tmp_path, ca
 def test_failed_sweep_cancels_the_chunks_not_started(tmp_path, capsys, monkeypatch):
     # Threads stand in for the worker processes, so one counter sees every
     # trial.  A point is 5 chunks of 60 trials, each solved as one omp
-    # batch, so uncancelled all 10 chunks reach omp.  Once the chunk with
-    # point 0's trial 18 fails, only chunks already started may finish: the
-    # one beside it, and one more on each worker before the cancel lands, so
-    # at most 4 chunks.  The sleep keeps the workers from running ahead.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+    # batch, so uncancelled all 10 chunks reach omp.  Point 0's first chunk
+    # holds trial 18 and fails.  Events order the rest: every other chunk
+    # waits at its start until the pool's shutdown has returned, and the
+    # shutdown first waits until each of the two workers holds such a
+    # chunk.  So the cancel lands when both workers have started a chunk,
+    # and exactly 3 chunks reach omp: the failing one and those two.
+    parked = threading.Semaphore(0)
+    shut = threading.Event()
+
+    class OrderedPool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            try:
+                for _ in range(2):
+                    assert parked.acquire(timeout=60), "a worker never started a second chunk"
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+            finally:
+                shut.set()
+            super().shutdown(wait=wait)
+
+    real_chunk = montecarlo._count_successes
+
+    def chunk(*args):
+        if args[-1] != 0.5 or args[-3] != 1:  # all but point 0's first chunk
+            parked.release()
+            assert shut.wait(timeout=60), "the pool was never shut down"
+        return real_chunk(*args)
+
     rows = []
     real = montecarlo.omp
 
     def counting(d, y, tau):
         rows.append(len(y))
-        time.sleep(0.005)
         return real(d, y, tau)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderedPool)
+    monkeypatch.setattr(montecarlo, "_count_successes", chunk)
     monkeypatch.setattr(montecarlo, "omp", counting)
     argv = ["sweep", "--out", str(tmp_path / "never.csv"), "--workers", "2"]
     for item in SINGULAR_TWO_POINTS:
@@ -660,7 +683,7 @@ def test_failed_sweep_cancels_the_chunks_not_started(tmp_path, capsys, monkeypat
     assert f"sweep value 0.5, trial 18 on stream ({seed}, 18): " in _one_line_error(capsys)
     # The pool stand-in was used: worker processes would count no row here.
     assert set(rows) == {60}
-    assert 1 <= len(rows) <= 4
+    assert len(rows) == 3
 
 
 def test_sweep_broken_pool_is_one_line(tmp_path, sweep_config, capsys, monkeypatch):
