@@ -105,8 +105,8 @@ def _write_atomic(path: str, text: str) -> None:
     umask = os.umask(0)
     os.umask(umask)
     try:
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -13,16 +13,16 @@ degree of parallelism.  The worst-case ``beta`` estimate runs on
 ``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
 never shifts the trials.
 
-A chunk of trials draws each trial's signal and noise in trial order and
-solves them with one lockstep ``omp`` call per sub-batch; a row's result
-does not depend on its batch, so neither does a count.
+A point's trials are cut once, alike on any host, into chunks that each
+draw their trials in order and solve them in one lockstep ``omp`` call; a
+row's result does not depend on its batch, so neither does a count.
 
 A sweep is one ordered task list, the ``beta`` pass and then every point's
-trial chunks, cut alike on any host; results are taken in that order.  One
-worker runs each task when its result is reached; a process pool is given
-every task before any result is awaited, so the ``beta`` pass runs alongside
-the trials.  The pool is imported only then, so a serial process never
-loads ``multiprocessing``.  Every point's bound inputs are checked as soon
+trial chunks; results are taken in that order.  One worker runs each task
+when its result is reached; a process pool is given every task before any
+result is awaited, so the ``beta`` pass runs alongside the trials.  The
+pool is imported only then, so a serial process never loads
+``multiprocessing``.  Every point's bound inputs are checked as soon
 as the ``beta`` pass returns, before any trial result is taken.  Neither
 the schedule nor the chunking changes a result.  Counts, ``tau``, seeds and
 ``workers`` may be numpy integers; a record stores counts as ``int``.
@@ -31,7 +31,7 @@ the schedule nor the chunking changes a result.  Counts, ``tau``, seeds and
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -57,12 +57,12 @@ SWEEP_KINDS = ("tau", "s_min", "sigma")
 # iteration's fixed cost but raises a serial sweep's peak memory.
 _OMP_BATCH_BYTES = 2**20
 
-# Trial chunks per sweep point (fewer if there are fewer trials), on any host.
-# Fewer chunks make larger lockstep batches but leave less to share among
-# workers: a 64-trial point at m = 1024 runs as five batches of 12-13 rows,
-# up to the 13 that fit at tau = 60.  Five is the fewest at which a point of
-# five trials still solves each trial in its own omp call, which the
-# benchmark's span tests count.
+# The fewest trial chunks a sweep point is cut into (fewer only if there are
+# fewer trials), on any host.  Fewer chunks make larger lockstep batches but
+# leave less to share among workers: a 64-trial point at m = 1024 runs as
+# five batches of 12-13 rows, up to the 13 that fit at tau = 60.  Five is the
+# fewest at which a point of five trials still solves each trial in its own
+# omp call, which the benchmark's span tests count.
 _CHUNKS = 5
 
 
@@ -79,7 +79,7 @@ class ExperimentConfig:
 
     m: int
     sweep: str
-    sweep_values: tuple
+    sweep_values: tuple  # from any iterable, so a generator runs once and a config hashes
     tau: int
     s_min: float
     s_max: float
@@ -92,16 +92,16 @@ class ExperimentConfig:
         check_m(self.m)
         if self.sweep not in SWEEP_KINDS:
             raise ValueError(f"sweep must be one of {SWEEP_KINDS}, got {self.sweep!r}")
-        vals = tuple(self.sweep_values)
-        if not vals:
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         # The fixed point and every swept value, as given, obey the same rules.
         fixed = {"tau": self.tau, "s_min": self.s_min, "sigma": self.sigma}
-        for given in [fixed] + [{**fixed, self.sweep: v} for v in vals]:
+        for given in [fixed] + [{**fixed, self.sweep: v} for v in self.sweep_values]:
             require_int("tau", given["tau"], 1, self.m)
             check_magnitudes(given["s_min"], self.s_max)
             check_sigma(given["sigma"])
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep_values must be strictly increasing")
         require_int("trials", self.trials, 1)
         require_int("beta_draws", self.beta_draws, 1)
@@ -136,6 +136,16 @@ class SweepResult:
     thm2_prob: float
 
 
+def _chunks(d: Dictionary, tau: int, trials: int) -> list[tuple[int, int]]:
+    """Ranges ``[lo, hi)`` that cut trials ``1..trials`` of one point, sizes within one.
+
+    ``min(_CHUNKS, trials)`` of them, or more so that each fits ``_OMP_BATCH_BYTES``.
+    """
+    rows = max(1, _OMP_BATCH_BYTES // (8 * (3 * d.n + tau * tau)))
+    n_chunks = max(min(_CHUNKS, trials), -(-trials // rows))
+    return list(pairwise(np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()))
+
+
 def _count_successes(
     d: Dictionary,
     tau: int,
@@ -147,31 +157,23 @@ def _count_successes(
     t_hi: int,
     param_value: float,
 ) -> int:
-    """Successes over trials ``t_lo..t_hi-1``, each on its own stream.
+    """Successes over trials ``t_lo..t_hi-1``, each on its own stream, in one ``omp`` call.
 
-    The trials are solved in lockstep, one ``omp`` call per sub-batch of as
-    many consecutive trials as ``_OMP_BATCH_BYTES`` holds; only each
-    trial's support is kept.  ``param_value`` only labels the error of a
-    singular trial, the first in trial order.
+    Only each trial's support is kept.  ``param_value`` only labels the
+    error of a singular trial, the first in trial order.
     """
-    rows = max(1, _OMP_BATCH_BYTES // (8 * (3 * d.n + tau * tau)))
-    observed = np.empty((min(rows, t_hi - t_lo), d.m))
-    count = 0
-    for lo in range(t_lo, t_hi, rows):
-        batch = range(lo, min(lo + rows, t_hi))
-        supports = []
-        for row, t in enumerate(batch):
-            g = RngStream(master_seed, t).generator()
-            signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-            observed[row] = synthesize(d, signal, sigma, g).observed
-            supports.append(signal.support)
-        try:
-            result = omp(d, observed[: len(batch)], tau)
-        except SingularSystemError as err:
-            trial = lo + err.row
-            raise SingularSystemError(err.iteration, trial, master_seed, param_value) from err
-        count += sum(map(support_match, result.support, supports))
-    return count
+    observed = np.empty((t_hi - t_lo, d.m))
+    supports = []
+    for row, t in enumerate(range(t_lo, t_hi)):
+        g = RngStream(master_seed, t).generator()
+        signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
+        observed[row] = synthesize(d, signal, sigma, g).observed
+        supports.append(signal.support)
+    try:
+        result = omp(d, observed, tau)
+    except SingularSystemError as err:
+        raise SingularSystemError(err.iteration, t_lo + err.row, master_seed, param_value) from err
+    return sum(map(support_match, result.support, supports))
 
 
 def count_successes(
@@ -187,14 +189,15 @@ def count_successes(
 ) -> int:
     """Number of trials ``1..trials`` under ``master_seed`` that recover the support.
 
-    A singular trial raises :class:`SingularSystemError` naming
-    ``param_value``, the trial and its stream; the first such trial in
-    trial order is the one reported.
+    The trials run here in a sweep's chunks.  A singular one raises
+    :class:`SingularSystemError` naming ``param_value``, the trial and its
+    stream; the first such trial in trial order is the one reported.
     """
     require_int("tau", tau, 1, d.m)
     require_int("trials", trials, 1)
     require_int("master_seed", master_seed, 0)
-    return _count_successes(d, tau, s_min, s_max, sigma, master_seed, 1, trials + 1, param_value)
+    args = (d, tau, s_min, s_max, sigma, master_seed)
+    return sum(_count_successes(*args, lo, hi, param_value) for lo, hi in _chunks(d, tau, trials))
 
 
 def thm1(g: GuaranteeInputs, alpha: float | None = None) -> tuple[bool, float, float | None, str]:
@@ -267,8 +270,8 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     maximum, and a sigma sweep needs no second pass.
 
     ``workers`` is an integer in ``[1, tasks]``.  The sweep is one ordered
-    list of ``tasks``, the ``beta`` pass and then each point's
-    ``min(_CHUNKS, trials)`` trial chunks, mapped lazily and in order.  At
+    list of ``tasks``, the ``beta`` pass and then each point's trial chunks
+    from :func:`_chunks`, one ``omp`` call each, mapped lazily and in order.  At
     one worker each task runs in this process when its result is reached, so
     nothing after a failed trial runs.  At more, every task is submitted to
     one process pool before any result is awaited, so the ``beta`` pass runs
@@ -282,22 +285,18 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
     cancelled.  Every number returned is independent of the schedule and of
     ``workers``.
     """
-    n_chunks = min(_CHUNKS, cfg.trials)
-    # A worker beyond the task count would never get a task.
-    require_int("workers", workers, 1, 1 + len(cfg.sweep_values) * n_chunks)
     d = build_identity_hadamard(cfg.m)
-    edges = np.linspace(1, cfg.trials + 1, n_chunks + 1, dtype=int).tolist()
     tasks = [partial(unit_correlation_max, d, cfg.beta_draws, RngStream(cfg.master_seed, 0))]
     points = []
     for i, value in enumerate(cfg.sweep_values):
-        tau, s_min, sigma = point = cfg.point(value)
+        tau, s_min, sigma = cfg.point(value)
         seed = _point_master_seed(cfg.master_seed, i)
         args = (d, tau, s_min, cfg.s_max, sigma, seed)
-        tasks += [
-            partial(_count_successes, *args, lo, hi, float(value))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        points.append(point)
+        chunks = _chunks(d, tau, cfg.trials)
+        tasks += [partial(_count_successes, *args, lo, hi, float(value)) for lo, hi in chunks]
+        points.append((tau, s_min, sigma, len(chunks)))
+    # A worker beyond the task count would never get a task.
+    require_int("workers", workers, 1, len(tasks))
     pool = None
     if workers > 1:
         # Imported here, so that a serial process never loads multiprocessing.
@@ -314,11 +313,11 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepResult]:
         mu_max = d.mutual_coherence()
         inputs = [
             GuaranteeInputs(d.n, tau, mu_max, s_min, cfg.s_max, sigma, sigma * unit_max)
-            for tau, s_min, sigma in points
+            for tau, s_min, sigma, _ in points
         ]
         return [
-            run_point(g, cfg.trials, sum(islice(outcomes, n_chunks)), param_value=float(value))
-            for g, value in zip(inputs, cfg.sweep_values)
+            run_point(g, cfg.trials, sum(islice(outcomes, n)), param_value=float(value))
+            for g, (*_, n), value in zip(inputs, points, cfg.sweep_values)
         ]
     finally:
         if pool is not None:

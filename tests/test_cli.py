@@ -3,6 +3,7 @@ import csv
 import io
 import os
 import stat
+import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -307,16 +308,20 @@ def test_sweep_thm2_bits_byte_identical_across_workers(tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
 def test_sweep_csv_byte_identical_at_any_chunking(tmp_path, sweep_config, kind, monkeypatch):
-    # A point's trials are cut into min(_CHUNKS, trials) chunks, each solved
-    # as lockstep batches, so the batches change with the count (40, 13 or
-    # 14, 8, and 5 trials here) and the CSV must not.
-    texts = []
+    # A point's 40 trials are cut into min(_CHUNKS, trials) chunks, or more
+    # where a chunk would exceed the rows whose omp buffers fit in
+    # _OMP_BATCH_BYTES, and each chunk is one lockstep omp call.  Chunks of
+    # 40, 13 or 14, 8 and 5 trials under the default cap, 2 under the
+    # 4096-byte one and 1 under the 1-byte one must all give the same CSV.
+    texts = set()
     for chunks in (1, 3, 5, 8):
-        monkeypatch.setattr(montecarlo, "_CHUNKS", chunks)
-        out = tmp_path / f"chunks{chunks}.csv"
-        assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1] == texts[2] == texts[3]
+        for cap in (2**20, 4096, 1):
+            monkeypatch.setattr(montecarlo, "_CHUNKS", chunks)
+            monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", cap)
+            out = tmp_path / f"chunks{chunks}-cap{cap}.csv"
+            assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
+            texts.add(out.read_bytes())
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
@@ -401,6 +406,35 @@ def test_sweep_unwritable_output_leaves_nothing(tmp_path, sweep_config, capsys):
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error:")
     assert not any(p.name.startswith(".ompbounds-") for p in tmp_path.iterdir())
+
+
+def test_write_atomic_closes_its_file_when_the_mode_cannot_be_set(tmp_path, monkeypatch):
+    # The mode was once set before os.fdopen owned the mkstemp descriptor,
+    # so a failure there leaked the descriptor.
+    made = []
+    real_mkstemp = tempfile.mkstemp
+
+    def mkstemp(*args, **kwargs):
+        fd, tmp = real_mkstemp(*args, **kwargs)
+        made.append((fd, tmp, os.fstat(fd).st_ino))
+        return fd, tmp
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("mode refused")
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    for name in ("chmod", "fchmod"):  # whichever call sets the mode
+        monkeypatch.setattr(os, name, refuse)
+    with pytest.raises(PermissionError, match="^mode refused$"):
+        cli._write_atomic(str(tmp_path / "out.csv"), "x\n")
+    [(fd, tmp, inode)] = made
+    try:
+        leaked = os.fstat(fd).st_ino == inode
+    except OSError:  # closed, and the number not reused since
+        leaked = False
+    assert not leaked
+    assert not os.path.exists(tmp)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_conflicting_sigma_keys(tmp_path, sweep_config, capsys):

@@ -305,9 +305,66 @@ def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
     assert list(batches.values()) == [[8] * 10] * 3
 
 
+def test_one_cut_where_the_row_cap_binds(monkeypatch):
+    # Under this cap rows(64, 2) = 7 and rows(64, 4) = 6, so a 40-trial point
+    # is cut into 6 chunks at tau = 2 and 7 at tau = 4, not min(_CHUNKS,
+    # trials) = 5: every chunk is one omp call within the cap, and the
+    # sweep's task list, hence its worker bound, grows to match.
+    cfg = ExperimentConfig(
+        m=64, sweep="tau", sweep_values=(2, 4), tau=2, s_min=0.5, s_max=1.0,
+        sigma=0.05, trials=40, beta_draws=50, master_seed=3,
+    )
+    d = build_identity_hadamard(64)
+    serial = run_sweep(cfg)
+    alone = count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3)
+    monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", 7 * 8 * (3 * d.n + 2 * 2))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+    # The beta pass and 6 + 7 chunks: 14 tasks.
+    assert run_sweep(cfg, workers=14) == serial
+    message = "workers must be an integer in [1, 14], got 15"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(cfg, workers=15)
+    calls = []  # per chunk, the (tau, rows) of each omp call it makes
+    real_chunk, real_omp = montecarlo._count_successes, montecarlo.omp
+
+    def chunk(*args):
+        calls.append([])
+        return real_chunk(*args)
+
+    def counting(d, y, tau):
+        calls[-1].append((tau, len(y)))
+        return real_omp(d, y, tau)
+
+    monkeypatch.setattr(montecarlo, "_count_successes", chunk)
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    assert run_sweep(cfg) == serial
+    assert calls == [[(2, r)] for r in (6, 7, 7, 6, 7, 7)] + [
+        [(4, r)] for r in (5, 6, 6, 5, 6, 6, 6)
+    ]
+    calls.clear()
+    assert count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3) == alone
+    assert calls == [[(2, r)] for r in (6, 7, 7, 6, 7, 7)]
+
+
+def test_config_stores_any_sweep_values_as_a_tuple():
+    # A generator once passed validation and then broke run_sweep with a
+    # TypeError, and a list left the frozen config unhashable.
+    base = dict(
+        m=32, sweep="tau", tau=1, s_min=0.5, s_max=1.0, sigma=0.02, trials=20,
+        beta_draws=50, master_seed=4,
+    )
+    ref = ExperimentConfig(sweep_values=(1, 2, 4), **base)
+    expected = run_sweep(ref)
+    for values in ((v for v in (1, 2, 4)), [1, 2, 4], np.array([1, 2, 4])):
+        cfg = ExperimentConfig(sweep_values=values, **base)
+        assert isinstance(cfg.sweep_values, tuple)
+        assert cfg == ref and hash(cfg) == hash(ref)
+        assert run_sweep(cfg) == expected
+
+
 def test_count_successes_memory_is_bounded():
-    # Trials are drawn and solved a sub-batch at a time, so the peak does not
-    # grow with the trial count: 1000 measurements at m=1024 alone would
+    # Trials are drawn and solved a chunk of 20 at a time, so the peak does
+    # not grow with the trial count: 1000 measurements at m=1024 alone would
     # take 8 MB.
     d = build_identity_hadamard(1024)
     d.correlate_all(np.zeros(1024))  # build the Kronecker factors outside the trace
