@@ -137,13 +137,10 @@ class SweepResult:
 
 
 def _chunks(d: Dictionary, tau: int, trials: int) -> list[tuple[int, int]]:
-    """Ranges ``[lo, hi)`` that cut trials ``1..trials`` of one point, sizes within one.
-
-    ``min(_CHUNKS, trials)`` of them, or more so that each fits ``_OMP_BATCH_BYTES``.
-    """
+    """``min(_CHUNKS, trials)`` ranges ``[lo, hi)`` of trials, or more so each fits one batch."""
     rows = max(1, _OMP_BATCH_BYTES // (8 * (3 * d.n + tau * tau)))
     n_chunks = max(min(_CHUNKS, trials), -(-trials // rows))
-    return list(pairwise(np.linspace(1, trials + 1, n_chunks + 1, dtype=int).tolist()))
+    return list(pairwise(1 + i * trials // n_chunks for i in range(n_chunks + 1)))
 
 
 def _count_successes(
@@ -189,7 +186,8 @@ def count_successes(
 ) -> int:
     """Number of trials ``1..trials`` under ``master_seed`` that recover the support.
 
-    The trials run here in a sweep's chunks.  A singular one raises
+    The trials run here in a sweep's chunks, its floor of ``_CHUNKS``
+    included, so both make the same ``omp`` calls.  A singular one raises
     :class:`SingularSystemError` naming ``param_value``, the trial and its
     stream; the first such trial in trial order is the one reported.
     """

@@ -346,6 +346,21 @@ def test_one_cut_where_the_row_cap_binds(monkeypatch):
     assert calls == [[(2, r)] for r in (6, 7, 7, 6, 7, 7)]
 
 
+@pytest.mark.parametrize("rows", [1, 7, 13, 337])
+def test_chunks_fit_one_batch_at_any_trial_count(monkeypatch, rows):
+    # Each chunk is a whole omp call, so no chunk may exceed the rows that fit
+    # the cap; the edges are integer arithmetic, exact at any trial count.
+    d = build_identity_hadamard(64)
+    monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", rows * 8 * (3 * d.n + 2 * 2))
+    for trials in [*range(1, 400), rows * 997 + 3, rows * 5003 - 1]:
+        chunks = montecarlo._chunks(d, 2, trials)
+        assert len(chunks) == max(min(montecarlo._CHUNKS, trials), -(-trials // rows))
+        assert [lo for lo, _ in chunks] == [1] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == trials + 1
+        assert max(hi - lo for lo, hi in chunks) <= rows
+        assert min(hi - lo for lo, hi in chunks) >= max(hi - lo for lo, hi in chunks) - 1
+
+
 def test_config_stores_any_sweep_values_as_a_tuple():
     # A generator once passed validation and then broke run_sweep with a
     # TypeError, and a list left the frozen config unhashable.
