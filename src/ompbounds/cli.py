@@ -208,6 +208,18 @@ def _cmd_sweep(args) -> int:
         # The aliases name one knob: an override of either replaces the file's.
         raw = {k: v for k, v in raw.items() if k not in ("sigma", "sigma_sq")}
     cfg = _build_experiment({**raw, **overrides}, args.seed)
+    # Both files are written after the last trial, so their paths are checked
+    # before the first.
+    targets = {"--out": args.out}
+    if args.plot_script is not None:
+        if os.path.realpath(args.plot_script) == os.path.realpath(args.out):
+            raise ValueError(f"--plot-script {args.plot_script!r} is the --out file")
+        targets["--plot-script"] = args.plot_script
+    for flag, path in targets.items():
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{flag} {path!r}: no such directory")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
     results = run_sweep(cfg, workers=args.workers)
     _write_atomic(args.out, _sweep_csv(cfg, results))
     if args.plot_script is not None:

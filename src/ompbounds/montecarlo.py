@@ -45,17 +45,10 @@ from .bounds import (
 )
 from .checks import check_m, check_magnitudes, check_sigma, require_int
 from .dictionary import Dictionary, build_identity_hadamard
-from .omp import SingularSystemError, omp, support_match
+from .omp import SingularSystemError, batch_rows, omp, support_match
 from .signals import RngStream, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
-
-# Memory for one lockstep omp call's per-row buffers: three of length 2 m
-# (the first scores, the current scores and the coefficients) and the
-# (tau, tau) factor U of the inverse Gram.  At m = 1024 that is 21 rows at
-# tau = 2, 13 at 60 and 2 at 200.  A larger batch amortizes more of each
-# iteration's fixed cost but raises a serial sweep's peak memory.
-_OMP_BATCH_BYTES = 2**20
 
 # The fewest trial chunks a sweep point is cut into (fewer only if there are
 # fewer trials), on any host.  Fewer chunks make larger lockstep batches but
@@ -138,8 +131,7 @@ class SweepResult:
 
 def _chunks(d: Dictionary, tau: int, trials: int) -> list[tuple[int, int]]:
     """``min(_CHUNKS, trials)`` ranges ``[lo, hi)`` of trials, or more so each fits one batch."""
-    rows = max(1, _OMP_BATCH_BYTES // (8 * (3 * d.n + tau * tau)))
-    n_chunks = max(min(_CHUNKS, trials), -(-trials // rows))
+    n_chunks = max(min(_CHUNKS, trials), -(-trials // batch_rows(d.n, tau)))
     return list(pairwise(1 + i * trials // n_chunks for i in range(n_chunks + 1)))
 
 

@@ -12,7 +12,10 @@ that updates a QR factorization of the built atoms, a from-scratch
 re-solving OMP and an exhaustive best-support search.
 """
 
+import math
+import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +30,19 @@ from .dictionary import Dictionary
 # there was 0.5 at m=4, 0.167 at m=16 and 0.1 at m=64 (tau up to m), 0.964
 # at m=1024 (tau up to 60) and 0.918 at m=4096 (tau 300 and 600).
 PIVOT_TOL = 1e-10
+
+# Memory for one lockstep call's working arrays, per row three of length
+# 2 m (the first scores, the current scores and the coefficients) and the
+# (tau, tau) factor U of the inverse Gram.  At m = 1024 that is 21 rows at
+# tau = 2, 13 at 60 and 2 at 200.  A larger batch amortizes more of each
+# iteration's fixed cost but raises a serial sweep's peak memory.  A thread
+# keeps the arrays of a call within this budget, plus its length-m residual
+# rows (about 1.2 MB at m = 1024), for its next call.
+_BATCH_BYTES = 2**20
+
+# Each thread's float64 buffer that omp carves its working arrays from, so
+# that a sweep's calls reuse pages already faulted in.
+_workspace = threading.local()
 
 
 class SingularSystemError(RuntimeError):
@@ -79,6 +95,29 @@ class OmpResult:
     residual_norms: np.ndarray
 
 
+def _row_bytes(n: int, tau: int) -> int:
+    return 8 * (3 * n + tau * tau)
+
+
+def batch_rows(n: int, tau: int) -> int:
+    """Rows of one lockstep call on ``n`` atoms whose arrays fit ``_BATCH_BYTES`` (at least 1)."""
+    return max(1, _BATCH_BYTES // _row_bytes(n, tau))
+
+
+def _working_arrays(batch: int, m: int, n: int, tau: int) -> list[np.ndarray]:
+    """``alpha0``, ``scores``, ``dense``, ``residual`` and ``factor``, unset, in the workspace."""
+    shapes = [(batch, n)] * 3 + [(batch, m), (batch, tau, tau)]
+    counts = [math.prod(shape) for shape in shapes]
+    # Each array starts a multiple of 64 bytes into the buffer.
+    starts = list(accumulate((-(-c // 8) * 8 for c in counts), initial=0))
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or len(buf) < starts[-1]:
+        buf = np.empty(starts[-1])
+        if batch * _row_bytes(n, tau) <= _BATCH_BYTES:
+            _workspace.buf = buf
+    return [buf[s : s + c].reshape(shape) for s, c, shape in zip(starts, counts, shapes)]
+
+
 def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     """Orthogonal matching pursuit for exactly ``tau`` iterations on ``y``, ``(m,)`` or ``(B, m)``.
 
@@ -95,6 +134,15 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     ``G^-1``.  The residual ``y - A_I x`` is one ``d.apply`` per iteration,
     and every reduction is a stacked matrix product, so a row's result does
     not depend on its batch.
+
+    A thread keeps its working arrays between calls: the first and current
+    scores, the coefficients scattered over all atoms, the residual and
+    ``U``.  It keeps them up to the largest call whose batch fits
+    ``batch_rows`` without its floor of one (21 rows at ``m = 1024,
+    tau = 2``, about 1.2 MB with the residual rows); a larger call's arrays
+    are freed on return.  Each call zeroes the coefficients and ``U`` on
+    entry, so a call that raised leaves nothing behind, and no result is a
+    view of these arrays.
 
     Results have the batch shape of ``y``: ``(tau,)`` or ``(B, tau)``.
     Raises ``ValueError`` for a ``y`` of another shape or with a NaN or
@@ -114,13 +162,12 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     ys = y.reshape(-1, d.m)
     batch = len(ys)
     rows = np.arange(batch)
-    alpha0 = d.correlate_all(ys)  # <A_j, y>, kept for every coefficient update
-    scores = np.empty_like(alpha0)
-    dense = np.zeros_like(alpha0)  # x scattered over all n atoms
-    residual = np.empty_like(ys)
+    alpha0, scores, dense, residual, factor = _working_arrays(batch, d.m, d.n, tau)
+    d.correlate_all(ys, out=alpha0)  # <A_j, y>, kept for every coefficient update
+    dense[:] = 0.0  # x scattered over all n atoms
     # G^-1 = U^T D U: row i of U is iteration i's u_i = [-v_i, 1], zero-padded,
     # and D = diag(1 / pivot_i).
-    factor = np.zeros((batch, tau, tau))
+    factor[:] = 0.0
     pivots = np.ones((batch, tau))
     x = np.zeros((batch, tau))
     selected = np.zeros((batch, tau), dtype=np.int64)

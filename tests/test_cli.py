@@ -3,6 +3,7 @@ import csv
 import io
 import os
 import stat
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -309,15 +310,15 @@ def test_sweep_thm2_bits_byte_identical_across_workers(tmp_path):
 @pytest.mark.parametrize("kind", sorted(KIND_OVERRIDES))
 def test_sweep_csv_byte_identical_at_any_chunking(tmp_path, sweep_config, kind, monkeypatch):
     # A point's 40 trials are cut into min(_CHUNKS, trials) chunks, or more
-    # where a chunk would exceed the rows whose omp buffers fit in
-    # _OMP_BATCH_BYTES, and each chunk is one lockstep omp call.  Chunks of
+    # where a chunk would exceed the rows whose working arrays fit in the omp
+    # module's _BATCH_BYTES, and each chunk is one lockstep omp call.  Chunks of
     # 40, 13 or 14, 8 and 5 trials under the default cap, 2 under the
     # 4096-byte one and 1 under the 1-byte one must all give the same CSV.
     texts = set()
     for chunks in (1, 3, 5, 8):
         for cap in (2**20, 4096, 1):
             monkeypatch.setattr(montecarlo, "_CHUNKS", chunks)
-            monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", cap)
+            monkeypatch.setattr(sys.modules["ompbounds.omp"], "_BATCH_BYTES", cap)
             out = tmp_path / f"chunks{chunks}-cap{cap}.csv"
             assert main(_sweep_argv(sweep_config, KIND_OVERRIDES[kind]) + ["--out", str(out)]) == 0
             texts.add(out.read_bytes())
@@ -399,13 +400,51 @@ def test_sweep_trials_zero_rejected(tmp_path, sweep_config, capsys):
     assert not out.exists()
 
 
-def test_sweep_unwritable_output_leaves_nothing(tmp_path, sweep_config, capsys):
-    out = tmp_path / "missing-dir" / "x.csv"
-    code = main(["sweep", "--config", str(sweep_config), "--out", str(out)])
-    assert code == 1
-    assert not out.exists()
-    assert capsys.readouterr().err.startswith("error:")
-    assert not any(p.name.startswith(".ompbounds-") for p in tmp_path.iterdir())
+def _count_omp_calls(monkeypatch) -> list:
+    calls = []
+    real = montecarlo.omp
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "omp", counting)
+    return calls
+
+
+def test_sweep_unwritable_output_leaves_nothing(tmp_path, sweep_config, capsys, monkeypatch):
+    # A missing directory was once found only after every trial had run, and
+    # the message named the temp file, not the path given.
+    calls = _count_omp_calls(monkeypatch)
+    (tmp_path / "dir").mkdir()
+    unwritable = {"missing-dir/x": ": no such directory", "dir": " is a directory"}
+    for flag in ("--out", "--plot-script"):
+        for name, problem in unwritable.items():
+            paths = {"--out": tmp_path / "r.csv", "--plot-script": tmp_path / "r.gp"}
+            paths[flag] = tmp_path / name
+            argv = ["sweep", "--config", str(sweep_config)]
+            for given, path in paths.items():
+                argv += [given, str(path)]
+            assert main(argv) == 1
+            assert _one_line_error(capsys) == f"error: {flag} {str(paths[flag])!r}{problem}"
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "dir", sweep_config]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_sweep_plot_script_on_the_out_file_refused(tmp_path, sweep_config, capsys, monkeypatch):
+    # The script once overwrote the CSV it plots, after every trial had run.
+    calls = _count_omp_calls(monkeypatch)
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to(out)
+    for script in (out, tmp_path / "." / "r.csv", tmp_path / "link.csv"):
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(out)]
+        argv += ["--plot-script", str(script)]
+        assert main(argv) == 1
+        assert _one_line_error(capsys) == f"error: --plot-script {str(script)!r} is the --out file"
+    assert calls == []
+    assert out.read_text() == "kept\n"
 
 
 def test_write_atomic_closes_its_file_when_the_mode_cannot_be_set(tmp_path, monkeypatch):

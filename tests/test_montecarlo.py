@@ -27,6 +27,9 @@ from ompbounds import (
 from ompbounds import cli, montecarlo
 from oracles import DenseDictionary
 
+# ompbounds.omp is the solver function; the module holds the batch budget.
+omp_module = sys.modules["ompbounds.omp"]
+
 # Pinned on first computation (m=1024, tau=20, sigma=1e-3, seed 123): all
 # 1000 trials recover the support.
 REGRESSION_SUCCESSES = 1000
@@ -317,7 +320,7 @@ def test_one_cut_where_the_row_cap_binds(monkeypatch):
     d = build_identity_hadamard(64)
     serial = run_sweep(cfg)
     alone = count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3)
-    monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", 7 * 8 * (3 * d.n + 2 * 2))
+    monkeypatch.setattr(omp_module, "_BATCH_BYTES", 7 * 8 * (3 * d.n + 2 * 2))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     # The beta pass and 6 + 7 chunks: 14 tasks.
     assert run_sweep(cfg, workers=14) == serial
@@ -351,7 +354,7 @@ def test_chunks_fit_one_batch_at_any_trial_count(monkeypatch, rows):
     # Each chunk is a whole omp call, so no chunk may exceed the rows that fit
     # the cap; the edges are integer arithmetic, exact at any trial count.
     d = build_identity_hadamard(64)
-    monkeypatch.setattr(montecarlo, "_OMP_BATCH_BYTES", rows * 8 * (3 * d.n + 2 * 2))
+    monkeypatch.setattr(omp_module, "_BATCH_BYTES", rows * 8 * (3 * d.n + 2 * 2))
     for trials in [*range(1, 400), rows * 997 + 3, rows * 5003 - 1]:
         chunks = montecarlo._chunks(d, 2, trials)
         assert len(chunks) == max(min(montecarlo._CHUNKS, trials), -(-trials // rows))

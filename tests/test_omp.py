@@ -1,5 +1,10 @@
+import copy
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +24,9 @@ from ompbounds import (
 )
 from ompbounds.montecarlo import _point_master_seed
 from oracles import DenseDictionary, exhaustive_l0, omp_direct, omp_qr
+
+# ompbounds.omp is the solver function; the module holds the workspace.
+omp_module = sys.modules["ompbounds.omp"]
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
 NOISELESS_TAU = {8: 1, 16: 2, 32: 3, 64: 4}
@@ -163,6 +171,16 @@ def test_omp_agrees_with_qr_oracle_at_m4096():
     _assert_agrees_with_qr_oracle(d, meas.observed, 300)
 
 
+def _trial_rows(d, tau, sigma, rows):
+    """The measurements of a sweep's first point's trials ``1..rows``, one a row."""
+    ys = []
+    for t in range(1, rows + 1):
+        g = RngStream(_point_master_seed(0, 0), t).generator()
+        s = draw_sparse_signal(g, d.n, tau, 0.5, 1.0)
+        ys.append(synthesize(d, s, sigma, g).observed)
+    return np.array(ys)
+
+
 def _solved_alone(d, y, tau):
     """``omp`` on one measurement, or the iteration at which it is singular."""
     try:
@@ -202,15 +220,145 @@ def test_batched_rows_bit_identical_to_rows_solved_alone(m, tau, sigma, rows):
     # At m = 4 and sigma = 0 the fourth pick comes from rounding noise, and
     # several of these rows are singular there (trial 18 first).
     d = build_identity_hadamard(m)
-    ys = []
-    for t in range(1, rows + 1):
-        g = RngStream(_point_master_seed(0, 0), t).generator()
-        s = draw_sparse_signal(g, d.n, tau, 0.5, 1.0)
-        ys.append(synthesize(d, s, sigma, g).observed)
-    ys = np.array(ys)
+    ys = _trial_rows(d, tau, sigma, rows)
     if m == 4:
         assert isinstance(_solved_alone(d, ys[17], tau), int)
     _assert_rows_solved_alone(d, ys, tau)
+
+
+def _in_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which starts with no ``omp`` workspace."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+def _assert_same_bits(got, want):
+    for field in ("support", "coefficients", "residual_norms"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _workspace_calls():
+    """``(d, y, tau)`` over m in {16, 64}, B in {1, 3, 21} and mixed tau; some ``y`` is ``(m,)``."""
+    rng = np.random.default_rng(5)
+    calls = []
+    for m in (16, 64):
+        d = build_identity_hadamard(m)
+        for batch in (1, 3, 21):
+            for tau in (1, 3, m // 2):
+                y = rng.normal(size=(batch, m))
+                calls.append((d, y[0] if batch == 1 and tau == 3 else y, tau))
+    return calls
+
+
+def test_interleaved_calls_equal_calls_in_a_fresh_thread():
+    # The workspace grows, is reused by smaller calls and outlives each call;
+    # no order of calls may change a result.
+    calls = _workspace_calls()
+    fresh = [_in_fresh_thread(omp, *call) for call in calls]
+    order = list(range(len(calls)))
+    for permuted in (order, order[::-1], order[::2] + order[1::2]):
+        for i in permuted:
+            _assert_same_bits(omp(*calls[i]), fresh[i])
+
+
+def test_call_after_a_failed_call_equals_a_clean_solve(monkeypatch):
+    # A failed call leaves scattered coefficients and rows of U in the
+    # workspace; the next call of the same shape must not see them.
+    d4 = build_identity_hadamard(4)
+    ys = _trial_rows(d4, 4, 0.0, 40)
+    clean = _in_fresh_thread(omp, d4, ys[:17], 4)
+    with pytest.raises(SingularSystemError):
+        omp(d4, ys, 4)
+    _assert_same_bits(omp(d4, ys[:17], 4), clean)
+
+    d = build_identity_hadamard(64)
+    y = _trial_rows(d, 6, 0.01, 13)
+    clean = _in_fresh_thread(omp, d, y, 6)
+    real_apply = Dictionary.apply
+    applied = []
+
+    def failing(self, s, out=None):
+        applied.append(1)
+        if len(applied) == 4:
+            raise KeyboardInterrupt
+        return real_apply(self, s, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Dictionary, "apply", failing)
+        with pytest.raises(KeyboardInterrupt):
+            omp(d, y, 6)
+    assert len(applied) == 4
+    _assert_same_bits(omp(d, y, 6), clean)
+
+
+def test_results_do_not_share_the_workspace():
+    calls = _workspace_calls()
+    earlier = [omp(*call) for call in calls]
+    kept = [copy.deepcopy(r) for r in earlier]
+    for previous, call in zip(earlier, calls[1:] + calls[:1]):
+        later = omp(*call)
+        for field in ("support", "coefficients", "residual_norms"):
+            a, b = getattr(previous, field), getattr(later, field)
+            assert not np.shares_memory(a, b), field
+            assert not np.shares_memory(b, omp_module._workspace.buf), field
+    for r, copied in zip(earlier, kept):
+        _assert_same_bits(r, copied)
+
+
+def test_two_threads_each_keep_their_own_workspace():
+    # Each thread cycles through its own batches of other shapes than the
+    # other's, so a workspace shared between them would mix their rows.
+    plans = []
+    for m, tau, sigma in ((16, 3, 0.01), (64, 5, 0.02)):
+        d = build_identity_hadamard(m)
+        ys = _trial_rows(d, tau, sigma, 21)
+        plans.append([(d, ys[:rows], tau) for rows in (21, 1, 8, 13)])
+    fresh = [[_in_fresh_thread(omp, *call) for call in plan] for plan in plans]
+    barrier = threading.Barrier(len(plans))
+    results = [[] for _ in plans]
+
+    def solve(plan, out):
+        barrier.wait(timeout=30)
+        for i in range(300):
+            out.append(omp(*plan[i % len(plan)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=job) for job in zip(plans, results)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, fresh):
+        assert len(got) == 300
+        for i, r in enumerate(got):
+            _assert_same_bits(r, want[i % len(want)])
+
+
+@pytest.mark.parametrize("m,tau,rows", [(64, 8, 3000), (1024, 400, 1)], ids=["batch", "one_row"])
+def test_a_call_over_the_budget_keeps_nothing(m, tau, rows):
+    # A big direct batch, or one row at a large tau, allocates its working
+    # arrays for the call alone, as a call did before the workspace.
+    d = build_identity_hadamard(m)
+    assert 8 * rows * (3 * d.n + tau * tau) > omp_module._BATCH_BYTES
+    y = np.random.default_rng(9).normal(size=(rows, m))
+
+    def traced():
+        tracemalloc.start()
+        try:
+            omp(d, y, tau)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    current, peak = _in_fresh_thread(traced)
+    assert peak > omp_module._BATCH_BYTES
+    assert current <= omp_module._BATCH_BYTES
 
 
 def test_batch_shape_follows_the_measurements():
