@@ -152,10 +152,15 @@ class Dictionary:
         return out
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
-        """Compute ``A @ s`` for a length-``n`` coefficient vector (:meth:`apply`, checked)."""
+        """``A @ s`` for a length-``n`` vector or a ``(B, n)`` stack (:meth:`apply`, checked).
+
+        A row of a stack has the bits of the same vector computed alone.
+        """
         s = np.asarray(s, dtype=np.float64)
-        if s.shape != (self.n,):
-            raise ValueError(f"coefficient shape {s.shape} != ({self.n},)")
+        if s.ndim not in (1, 2) or s.shape[-1] != self.n:
+            raise ValueError(
+                f"coefficient shape {s.shape} is neither ({self.n},) nor (B, {self.n})"
+            )
         return self.apply(s)
 
     def apply(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -164,13 +169,21 @@ class Dictionary:
         The Hadamard halves go through one stacked Kronecker product, so a
         row of a batch is computed exactly as it would be alone, and the
         identity halves are added to it.  ``out``, if given, is a
-        C-contiguous float64 array of shape ``s.shape[:-1] + (m,)`` that
-        receives the result.
+        C-contiguous float64 array of the result's shape ``s.shape[:-1] +
+        (m,)``; it receives the result and is returned.
         """
-        hp, hq = self._hp_scaled, self._hq
+        s = np.asarray(s, dtype=np.float64)
+        if s.shape[-1:] != (self.n,):
+            raise ValueError(f"last axis of shape {s.shape} must have length n={self.n}")
         lead = s.shape[:-1]
+        shape = lead + (self.m,)
         if out is None:
-            out = np.empty(lead + (self.m,))
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            # A float32 out would be filled with rounded values, and a strided
+            # one copied by reshape(), so the result would be lost.
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        hp, hq = self._hp_scaled, self._hq
         mats = s[..., self.m :].reshape(lead + (hp.shape[0], hq.shape[0]))
         _kronecker_apply(mats, hp, hq, out=out.reshape(mats.shape))
         out += s[..., : self.m]

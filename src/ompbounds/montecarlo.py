@@ -14,8 +14,9 @@ degree of parallelism.  The worst-case ``beta`` estimate runs on
 never shifts the trials.
 
 A point's trials are cut once, alike on any host, into chunks that each
-draw their trials in order and solve them in one lockstep ``omp`` call; a
-row's result does not depend on its batch, so neither does a count.
+draw their trials in order, synthesize them in one stacked transform and
+solve them in one lockstep ``omp`` call; a row's result does not depend on
+its batch, so neither does a count.
 
 A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks; results are taken in that order.  One worker runs each task
@@ -148,16 +149,23 @@ def _count_successes(
 ) -> int:
     """Successes over trials ``t_lo..t_hi-1``, each on its own stream, in one ``omp`` call.
 
-    Only each trial's support is kept.  ``param_value`` only labels the
+    Each trial draws its signal and then its noise from its own stream; the
+    chunk is synthesized in one stacked :func:`synthesize`, whose block of
+    measurements goes to ``omp`` as it is.  ``param_value`` only labels the
     error of a singular trial, the first in trial order.
     """
-    observed = np.empty((t_hi - t_lo, d.m))
+    streams = [RngStream(master_seed, t).generator() for t in range(t_lo, t_hi)]
     supports = []
-    for row, t in enumerate(range(t_lo, t_hi)):
-        g = RngStream(master_seed, t).generator()
-        signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-        observed[row] = synthesize(d, signal, sigma, g).observed
-        supports.append(signal.support)
+
+    def signals():
+        # Drawn as synthesize stacks them: of each signal only its support
+        # outlives its row of the stack.
+        for g in streams:
+            signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
+            supports.append(signal.support)
+            yield signal
+
+    observed = synthesize(d, signals(), sigma, streams).observed
     try:
         result = omp(d, observed, tau)
     except SingularSystemError as err:

@@ -5,10 +5,14 @@ magnitudes are i.i.d. uniform on ``[s_min, s_max]`` with independent
 random signs, and the measurement adds white Gaussian noise of standard
 deviation ``sigma``.  A trial draws its signal and then its noise from one
 ``numpy.random.Generator``, built from the trial's keyed :class:`RngStream`,
-so that trials are reproducible and independent of scheduling.  The
+so that trials are reproducible and independent of scheduling;
+:func:`synthesize` takes one trial or a stack of them, each with its own
+generator, and a row of a stack has the bits of that trial alone.  The
 rules on ``tau``, the magnitudes and ``sigma`` are those of ``checks``.
 """
 
+import threading
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,14 @@ from numpy.random import Generator
 
 from .checks import check_magnitudes, check_sigma, require_int
 from .dictionary import Dictionary
+from .omp import _BATCH_BYTES
+
+# Each thread's buffer that synthesize stacks its coefficients in.  It is
+# kept while a call's stack fits omp's batch budget, as every sweep chunk's
+# does, so a sweep's chunks reuse pages already faulted in.  A stack
+# allocated per call, beside the transform's arrays, can outgrow what the C
+# heap keeps between calls, and every chunk then faults its pages in again.
+_coefficients = threading.local()
 
 
 @dataclass(frozen=True)
@@ -29,6 +41,11 @@ class RngStream:
 
     master_seed: int
     stream_id: int
+
+    def __post_init__(self):
+        # numpy's own refusals name neither field, and it takes True as 1.
+        require_int("master_seed", self.master_seed, 0)
+        require_int("stream_id", self.stream_id, 0)
 
     def generator(self) -> Generator:
         seq = np.random.SeedSequence((self.master_seed, self.stream_id))
@@ -75,7 +92,10 @@ class SparseSignal:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Observation ``observed = A @ s + noise`` with its noise retained."""
+    """Observation ``observed = A @ s + noise`` with its noise retained.
+
+    Both are ``(m,)`` for one signal, or ``(B, m)`` with a row per signal.
+    """
 
     observed: np.ndarray
     noise: np.ndarray
@@ -111,15 +131,58 @@ def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: fl
     return signal
 
 
-def synthesize(d: Dictionary, s: SparseSignal, sigma: float, rng: Generator) -> Measurement:
+def _coefficient_block(rows: int, n: int) -> np.ndarray:
+    """A ``(rows, n)`` C-contiguous float64 block, unset, from this thread's kept buffer."""
+    buf = getattr(_coefficients, "buf", None)
+    if buf is None or len(buf) < rows * n:
+        buf = np.empty(rows * n)
+        if 8 * rows * n <= _BATCH_BYTES:
+            _coefficients.buf = buf
+    return buf[: rows * n].reshape(rows, n)
+
+
+def synthesize(
+    d: Dictionary,
+    s: SparseSignal | Iterable[SparseSignal],
+    sigma: float,
+    rng: Generator | Sequence[Generator],
+) -> Measurement:
     """Form ``observed = A @ s + w`` with ``w ~ N(0, sigma^2 I)``.
+
+    ``s`` is one :class:`SparseSignal` and ``rng`` its generator, or ``s`` is
+    an iterable of ``B`` signals and ``rng`` one generator for each; then the
+    measurement's arrays are ``(B, m)`` blocks.  The signals are taken one
+    at a time into one stack of coefficients, which goes through one
+    :meth:`Dictionary.matvec`; then each noise vector is drawn from its own
+    generator.  So each generator's draws come in the order they would
+    alone, a lazily drawn signal is kept only until it is stacked, and row
+    ``i`` has the bits of signal ``i`` and generator ``i`` alone.
 
     The noise is drawn at unit variance and scaled by ``sigma`` afterwards,
     so from a fixed generator state the noise vector for ``sigma=c`` is
     exactly ``c`` times the one for ``sigma=1``.
     """
     check_sigma(sigma)
-    if len(s.values) != d.n:
-        raise ValueError(f"signal length {len(s.values)} != dictionary n={d.n}")
-    noise = sigma * rng.standard_normal(d.m)
-    return Measurement(observed=d.matvec(s.values) + noise, noise=noise)
+    signals = iter([s] if isinstance(s, SparseSignal) else s)
+    rngs = [rng] if isinstance(rng, Generator) else list(rng)
+    coefficients = _coefficient_block(len(rngs), d.n)
+    rows = 0
+    for row, x in zip(coefficients, signals):
+        if len(x.values) != d.n:
+            raise ValueError(f"signal length {len(x.values)} != dictionary n={d.n}")
+        row[:] = x.values
+        rows += 1
+    given = rows + sum(1 for _ in signals)
+    if given != len(rngs):
+        raise ValueError(f"{given} signals need as many generators, got {len(rngs)}")
+    observed = d.matvec(coefficients)
+    # Allocated once the transform has freed its temporary, so a call holds
+    # at most two fresh (B, m) blocks at a time.
+    noise = np.empty_like(observed)
+    for w, g in zip(noise, rngs):
+        g.standard_normal(out=w)
+    noise *= sigma
+    observed += noise
+    if isinstance(s, SparseSignal):
+        return Measurement(observed=observed[0], noise=noise[0])
+    return Measurement(observed=observed, noise=noise)

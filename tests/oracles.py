@@ -223,7 +223,13 @@ class DenseDictionary:
         return np.matmul(r, self._matrix, out=out)
 
     def matvec(self, s):
-        return self._matrix @ np.asarray(s, dtype=np.float64)
+        """``A @ s`` for ``(n,)`` or ``(B, n)`` coefficients, rows along the last axis."""
+        s = np.asarray(s, dtype=np.float64)
+        if s.ndim not in (1, 2) or s.shape[-1] != self.n:
+            raise ValueError(
+                f"coefficient shape {s.shape} is neither ({self.n},) nor (B, {self.n})"
+            )
+        return self.apply(s)
 
     def apply(self, s, out=None):
         """``A @ s`` along the last axis; ``out``, if given, receives it."""

@@ -79,6 +79,9 @@ BOUNDARIES = {
     "guarantee_tau": (lambda v: _inputs(tau=v), "tau", 1, 16, 17),
     "column_j": (D.column, "j", 0, 15, 16),
     "omp_tau": (lambda v: omp(D, np.ones(8), v), "tau", 1, 8, 9),
+    # numpy took True as seed 1 and refused -1 and 1.0 without naming the field.
+    "rng_stream_master_seed": (lambda v: RngStream(v, 0), "master_seed", 0, None, -1),
+    "rng_stream_stream_id": (lambda v: RngStream(0, v), "stream_id", 0, None, -1),
     "draw_support_n": (lambda v: draw_support(RngStream(0, 1).generator(), v, 0), "n", 0, None, -1),
     "draw_support_tau": (
         lambda v: draw_support(RngStream(0, 1).generator(), 16, v), "tau", 0, 16, 17

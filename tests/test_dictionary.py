@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,55 @@ def test_apply_rows_equal_matvec(m):
     for row, want in zip(out, s):
         assert np.array_equal(row, d.matvec(want))
     np.testing.assert_allclose(out, s @ dense_identity_hadamard(m).T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 64, 1024])
+def test_stacked_matvec_rows_equal_vectors_alone(m):
+    d = build_identity_hadamard(m)
+    s = np.random.default_rng(m + 1).normal(size=(21, d.n))
+    got = d.matvec(s)
+    assert got.shape == (21, m)
+    for row, want in zip(got, s):
+        assert np.array_equal(row, d.matvec(want))
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (15,), (17,), (3, 15), (2, 3, 16), (0,)], ids=str
+)
+@pytest.mark.parametrize("dictionary", ["identity_hadamard", "dense"])
+def test_matvec_refuses_any_other_shape_with_one_message(dictionary, shape):
+    # m = 8, n = 16: the dense oracle follows the same contract.
+    d = build_identity_hadamard(8)
+    if dictionary == "dense":
+        d = DenseDictionary(dense_identity_hadamard(8))
+    message = f"coefficient shape {shape} is neither (16,) nor (B, 16)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        d.matvec(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [np.empty((2, 16), dtype=np.float32), np.empty((2, 32))[:, ::2], np.empty((2, 8)),
+     np.empty(16)],
+    ids=["float32", "strided", "short", "unbatched"],
+)
+def test_apply_rejects_bad_out(buf):
+    # A float32 out was filled with rounded values and returned.
+    s = np.random.default_rng(0).normal(size=(2, 32))
+    before = buf.copy()
+    message = "out must be a C-contiguous float64 array of shape (2, 16)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_identity_hadamard(16).apply(s, out=buf)
+    assert np.array_equal(buf, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(31,), (5, 33), (0,), ()], ids=str)
+def test_apply_refuses_a_last_axis_other_than_n(shape):
+    # A length-31 s at m = 16 failed inside numpy: "cannot reshape array of
+    # size 15 into shape (4,4)".
+    message = f"last axis of shape {shape} must have length n=32"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_identity_hadamard(16).apply(np.zeros(shape))
 
 
 @pytest.mark.parametrize("lead", [(), (5,)], ids=str)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ompbounds import (
+    Dictionary,
     ExperimentConfig,
     GuaranteeInputs,
     SingularSystemError,
@@ -349,6 +350,56 @@ def test_one_cut_where_the_row_cap_binds(monkeypatch):
     assert calls == [[(2, r)] for r in (6, 7, 7, 6, 7, 7)]
 
 
+@pytest.mark.parametrize(
+    "cap_rows,cut", [(None, [8] * 5), (7, [6, 7, 7, 6, 7, 7])], ids=["floor", "row_cap"]
+)
+def test_a_chunk_is_synthesized_in_one_stacked_call(monkeypatch, cap_rows, cut):
+    # 40 trials at m = 64, tau = 2: five chunks of 8 at the floor, or six
+    # chunks where a cap of 7 rows binds.  Each chunk makes one synthesize
+    # and one matvec call over all its trials, and its omp call gets that
+    # measurement block itself.
+    d = build_identity_hadamard(64)
+    want = count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3)
+    if cap_rows is not None:
+        monkeypatch.setattr(omp_module, "_BATCH_BYTES", cap_rows * 8 * (3 * d.n + 2 * 2))
+    chunks = []  # per chunk, the calls it makes
+    real = {
+        "chunk": montecarlo._count_successes,
+        "synthesize": montecarlo.synthesize,
+        "matvec": Dictionary.matvec,
+        "omp": montecarlo.omp,
+    }
+
+    def chunk(*args):
+        chunks.append([])
+        return real["chunk"](*args)
+
+    def synthesize(d, signals, sigma, streams):
+        meas = real["synthesize"](d, signals, sigma, streams)
+        chunks[-1].append(("synthesize", len(meas.observed), len(streams), meas.observed))
+        return meas
+
+    def matvec(self, s):
+        chunks[-1].append(("matvec", s.shape))
+        return real["matvec"](self, s)
+
+    def omp(d, y, tau):
+        chunks[-1].append(("omp", y))
+        return real["omp"](d, y, tau)
+
+    monkeypatch.setattr(montecarlo, "_count_successes", chunk)
+    monkeypatch.setattr(montecarlo, "synthesize", synthesize)
+    monkeypatch.setattr(Dictionary, "matvec", matvec)
+    monkeypatch.setattr(montecarlo, "omp", omp)
+    assert count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3) == want
+    assert len(chunks) == len(cut)
+    for calls, rows in zip(chunks, cut):
+        assert [c[0] for c in calls] == ["matvec", "synthesize", "omp"]
+        assert calls[0][1] == (rows, d.n)
+        assert calls[1][1:3] == (rows, rows)
+        assert calls[2][1] is calls[1][3]
+
+
 @pytest.mark.parametrize("rows", [1, 7, 13, 337])
 def test_chunks_fit_one_batch_at_any_trial_count(monkeypatch, rows):
     # Each chunk is a whole omp call, so no chunk may exceed the rows that fit
@@ -394,6 +445,37 @@ def test_count_successes_memory_is_bounded():
         tracemalloc.stop()
     assert successes == REGRESSION_SUCCESSES
     assert peak < 3 * 2**20
+
+
+# Run in a fresh interpreter, whose C heap has no history: 2100 trials at
+# m = 1024, tau = 2 are 100 chunks of 21 rows, each synthesized in one stack.
+CHUNK_FAULTS = """
+import json, resource
+from ompbounds import build_identity_hadamard, count_successes
+
+d = build_identity_hadamard(1024)
+count_successes(d, 2, 0.3, 1.0, 0.01, 2100, 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+count_successes(d, 2, 0.3, 1.0, 0.01, 2100, 7)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_chunks_of_equal_rows_reuse_their_pages():
+    # With the stack of coefficients allocated per call, and every trial's
+    # signal kept until the stack was built, a chunk's fresh arrays outgrew
+    # what the C heap keeps between calls: 26 200 minor faults for these
+    # 2100 trials, about 12 a trial, against a few hundred solving each
+    # trial's measurement alone.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHUNK_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) < 2100
 
 
 # Run in a fresh interpreter: the calculators, the beta pass and a serial

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +16,9 @@ from ompbounds import (
     draw_support,
     synthesize,
 )
+
+# ompbounds.signals holds each thread's kept coefficient stack.
+signals_module = sys.modules["ompbounds.signals"]
 
 
 def _zero_signal(n: int) -> SparseSignal:
@@ -185,3 +191,145 @@ def test_measurement_identity():
     s = draw_sparse_signal(g, d.n, 4, 0.5, 1.0)
     m = synthesize(d, s, 0.05, g)
     np.testing.assert_array_equal(m.observed, d.matvec(s.values) + m.noise)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 21])
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_batched_synthesize_rows_equal_single_trials(m, batch):
+    # Each trial draws its signal and then its noise from its own stream;
+    # row i of the stacked measurement has the bits of trial i alone, and
+    # every stream is left where the single path leaves it.
+    d = build_identity_hadamard(m)
+    tau = min(3, m)
+
+    def trial_streams():
+        streams = [RngStream(9, t).generator() for t in range(1, batch + 1)]
+        return streams, [draw_sparse_signal(g, d.n, tau, 0.5, 1.0) for g in streams]
+
+    streams, signals = trial_streams()
+    got = synthesize(d, signals, 0.05, streams)
+    assert got.observed.shape == got.noise.shape == (batch, m)
+    alone_streams, alone_signals = trial_streams()
+    for row, (s, g) in enumerate(zip(alone_signals, alone_streams)):
+        want = synthesize(d, s, 0.05, g)
+        assert want.observed.shape == want.noise.shape == (m,)
+        assert np.array_equal(got.observed[row], want.observed)
+        assert np.array_equal(got.noise[row], want.noise)
+    for g, g_alone in zip(streams, alone_streams):
+        assert np.array_equal(g.standard_normal(4), g_alone.standard_normal(4))
+
+
+def test_batched_synthesize_refuses_mismatched_counts():
+    d = build_identity_hadamard(8)
+    streams = [RngStream(0, t).generator() for t in range(3)]
+    signals = [draw_sparse_signal(g, d.n, 2, 0.5, 1.0) for g in streams]
+    message = "3 signals need as many generators, got 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize(d, signals, 0.1, streams[:2])
+    message = "2 signals need as many generators, got 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize(d, signals[:2], 0.1, streams[0])
+
+
+def test_batched_synthesize_refuses_a_wrong_length_signal():
+    d = build_identity_hadamard(8)
+    streams = [RngStream(0, t).generator() for t in range(3)]
+    signals = [draw_sparse_signal(g, n, 2, 0.5, 1.0) for g, n in zip(streams, (16, 10, 16))]
+    message = "signal length 10 != dictionary n=16"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize(d, signals, 0.1, streams)
+
+
+def _chunk(d, batch, seed=9, tau=3):
+    streams = [RngStream(seed, t).generator() for t in range(1, batch + 1)]
+    return streams, [draw_sparse_signal(g, d.n, tau, 0.5, 1.0) for g in streams]
+
+
+def _synthesized(d, batch, seed=9, tau=3):
+    streams, signals = _chunk(d, batch, seed, tau)
+    return synthesize(d, signals, 0.05, streams)
+
+
+def test_signals_drawn_as_they_are_stacked_equal_a_list():
+    # A sweep chunk hands synthesize a generator that draws each trial's
+    # signal when its row is stacked; each stream still draws its signal
+    # before its noise.
+    d = build_identity_hadamard(64)
+    streams, signals = _chunk(d, 7)
+    want = synthesize(d, signals, 0.05, streams)
+    lazy_streams = [RngStream(9, t).generator() for t in range(1, 8)]
+    lazy = (draw_sparse_signal(g, d.n, 3, 0.5, 1.0) for g in lazy_streams)
+    got = synthesize(d, lazy, 0.05, lazy_streams)
+    assert np.array_equal(got.observed, want.observed)
+    assert np.array_equal(got.noise, want.noise)
+    message = "8 signals need as many generators, got 7"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize(d, iter(signals + signals[:1]), 0.05, streams)
+
+
+def test_batched_synthesize_results_own_their_memory():
+    # The coefficient stack is kept for the thread's next call; no result
+    # may be a view of it, and a later call changes no earlier result.
+    d = build_identity_hadamard(64)
+    first = _synthesized(d, 5)
+    kept = [first.observed.copy(), first.noise.copy()]
+    second = _synthesized(d, 3, seed=10)
+    buf = signals_module._coefficients.buf
+    for a in (first.observed, first.noise):
+        assert not np.shares_memory(a, buf)
+        assert not any(np.shares_memory(a, b) for b in (second.observed, second.noise))
+    assert np.array_equal(first.observed, kept[0]) and np.array_equal(first.noise, kept[1])
+
+
+def test_call_after_a_refused_call_equals_a_clean_one():
+    # A stack refused at its third signal leaves rows behind in the kept
+    # buffer; the next call overwrites every row it uses.
+    d = build_identity_hadamard(64)
+    streams, signals = _chunk(d, 5)
+    bad = signals[:2] + [draw_sparse_signal(streams[2], 10, 3, 0.5, 1.0)] + signals[3:]
+    with pytest.raises(ValueError, match="^signal length 10 != dictionary n=128$"):
+        synthesize(d, bad, 0.05, streams)
+    got = _synthesized(d, 5)
+    with ThreadPoolExecutor(1) as fresh:
+        want = fresh.submit(_synthesized, d, 5).result(timeout=60)
+    assert np.array_equal(got.observed, want.observed)
+    assert np.array_equal(got.noise, want.noise)
+
+
+def test_two_threads_each_keep_their_own_stack():
+    d = build_identity_hadamard(256)
+    plans = [[(b, 100 * k + b) for b in (1, 4, 9, 21)] * 25 for k in (1, 2)]
+
+    def run(plan, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        out = []
+        for batch, seed in plan:
+            meas = _synthesized(d, batch, seed)
+            out.append((meas.observed, meas.noise))
+        return out
+
+    serial = [run(plan) for plan in plans]
+    barrier = threading.Barrier(2)
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(run, plan, barrier) for plan in plans]
+        together = [f.result(timeout=120) for f in futures]
+    for want, got in zip(serial, together):
+        for (wo, wn), (go, gn) in zip(want, got):
+            assert np.array_equal(wo, go) and np.array_equal(wn, gn)
+
+
+def test_a_stack_over_the_budget_is_not_kept():
+    # A sweep chunk's stack fits omp's batch budget and is kept; a larger
+    # call, such as a direct one on many signals, frees its own.
+    d = build_identity_hadamard(1024)
+
+    def kept_after(batch):
+        _synthesized(d, batch, tau=2)
+        buf = getattr(signals_module._coefficients, "buf", None)
+        return None if buf is None else buf.nbytes
+
+    with ThreadPoolExecutor(1) as fresh:
+        assert fresh.submit(kept_after, 21).result(timeout=60) == 21 * d.n * 8
+    with ThreadPoolExecutor(1) as fresh:
+        assert fresh.submit(kept_after, 100).result(timeout=60) is None
