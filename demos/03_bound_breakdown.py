@@ -14,14 +14,15 @@ from ompbounds import (
     GuaranteeInputs,
     RngStream,
     build_identity_hadamard,
-    estimate_beta,
     thm1,
     thm2_bound,
+    unit_correlation_max,
 )
 
 m, s_min, s_max, sigma = 1024, 0.5, 1.0, 0.005
 d = build_identity_hadamard(m)
-beta = estimate_beta(d, sigma, 10_000, RngStream(0, 0))
+# beta is sigma times the worst unit-noise correlation over 10^4 draws.
+beta = sigma * unit_correlation_max(d, 10_000, RngStream(0, 0))
 
 
 def inputs(tau):

@@ -6,7 +6,6 @@ from .bounds import (
     GuaranteeInputs,
     alpha_from_beta,
     bernstein_tail,
-    estimate_beta,
     thm1_condition,
     thm1_probability,
     thm2_bound,
@@ -15,14 +14,7 @@ from .bounds import (
 from .dictionary import Dictionary, build_identity_hadamard, fwht
 from .montecarlo import ExperimentConfig, SweepResult, count_successes, run_point, run_sweep, thm1
 from .omp import OmpResult, SingularSystemError, omp, support_match
-from .signals import (
-    Measurement,
-    RngStream,
-    SparseSignal,
-    draw_sparse_signal,
-    draw_support,
-    synthesize,
-)
+from .signals import RngStream, SparseSignal, draw_sparse_signal, draw_support, synthesize
 
 __all__ = [
     "AlphaBeta",
@@ -30,7 +22,6 @@ __all__ = [
     "Dictionary",
     "ExperimentConfig",
     "GuaranteeInputs",
-    "Measurement",
     "OmpResult",
     "RngStream",
     "SingularSystemError",
@@ -42,7 +33,6 @@ __all__ = [
     "count_successes",
     "draw_sparse_signal",
     "draw_support",
-    "estimate_beta",
     "fwht",
     "omp",
     "run_point",

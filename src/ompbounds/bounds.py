@@ -294,14 +294,3 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     if error is not None:
         raise error
     return best
-
-
-def estimate_beta(d: Dictionary, sigma: float, draws: int, rng: RngStream) -> float:
-    """Empirical worst-case ``beta``: max of ``|<A_j, w>|`` over noise draws.
-
-    ``w ~ N(0, sigma^2 I)``, drawn from the keyed stream ``rng``; 10^4 draws
-    give a stable worst-case estimate.  Scaling is exact: doubling ``sigma``
-    under the same stream exactly doubles the estimate.
-    """
-    check_sigma(sigma)
-    return sigma * unit_correlation_max(d, draws, rng)

@@ -3,8 +3,8 @@
 Every public boundary states the rules of its inputs with these helpers:
 ``require_int`` for a count, size, index or seed, ``require_real`` for a
 real parameter (``require_scale`` for ``sigma`` and ``beta``), and
-``check_magnitudes``, ``check_sigma`` and ``check_m`` for the rules that
-several boundaries share.  Each raises ``ValueError`` with a one-line
+``check_magnitudes``, ``check_sigma``, ``check_m`` and ``check_out`` for the
+rules that several boundaries share.  Each raises ``ValueError`` with a one-line
 message that names the input.
 """
 
@@ -86,3 +86,13 @@ def check_m(m) -> None:
     require_int("m", m, 2)
     if m & (m - 1):
         raise ValueError(f"m must be a power of two >= 2, got {m!r}")
+
+
+def check_out(out, shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``out`` is a C-contiguous float64 array of ``shape``.
+
+    A float32 ``out`` would be filled with rounded values, and a strided one
+    copied by ``reshape()``, so the result would be lost.
+    """
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")

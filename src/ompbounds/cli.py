@@ -14,8 +14,8 @@ import tempfile
 from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
-from .bounds import GuaranteeInputs, alpha_from_beta, estimate_beta, thm2_bound
-from .checks import require_int, require_real
+from .bounds import GuaranteeInputs, alpha_from_beta, thm2_bound, unit_correlation_max
+from .checks import check_sigma, require_int, require_real
 from .dictionary import build_identity_hadamard
 from .montecarlo import SWEEP_KINDS, ExperimentConfig, SweepResult, run_sweep, thm1
 from .omp import SingularSystemError
@@ -179,7 +179,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_beta(args) -> int:
     d = build_identity_hadamard(args.m)
-    beta = estimate_beta(d, args.sigma, args.draws, RngStream(args.seed, 0))
+    check_sigma(args.sigma)
+    beta = args.sigma * unit_correlation_max(d, args.draws, RngStream(args.seed, 0))
     print(f"m={d.m}")
     print(f"n={d.n}")
     print(f"sigma={_fmt(args.sigma)}")

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .checks import check_m, require_int
+from .checks import check_m, check_out, require_int
 
 
 @functools.cache
@@ -139,9 +139,8 @@ class Dictionary:
         shape = lead + (2 * self.m,)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            # reshape() of a strided out would copy, and the result would be lost.
-            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        else:
+            check_out(out, shape)
         hp, hq = self._hp_scaled, self._hq
         mats = r.reshape(lead + (hp.shape[0], hq.shape[0]))
         # Halves as a leading axis of 2: halves[..., 1, :, :] is a view of
@@ -151,17 +150,18 @@ class Dictionary:
         _kronecker_apply(mats, hp, hq, out=halves[..., 1, :, :])
         return out
 
-    def matvec(self, s: np.ndarray) -> np.ndarray:
+    def matvec(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A @ s`` for a length-``n`` vector or a ``(B, n)`` stack (:meth:`apply`, checked).
 
         A row of a stack has the bits of the same vector computed alone.
+        ``out`` is as in :meth:`apply`.
         """
         s = np.asarray(s, dtype=np.float64)
         if s.ndim not in (1, 2) or s.shape[-1] != self.n:
             raise ValueError(
                 f"coefficient shape {s.shape} is neither ({self.n},) nor (B, {self.n})"
             )
-        return self.apply(s)
+        return self.apply(s, out=out)
 
     def apply(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A @ s`` for every length-``n`` vector ``s`` along the last axis.
@@ -179,10 +179,8 @@ class Dictionary:
         shape = lead + (self.m,)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            # A float32 out would be filled with rounded values, and a strided
-            # one copied by reshape(), so the result would be lost.
-            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        else:
+            check_out(out, shape)
         hp, hq = self._hp_scaled, self._hq
         mats = s[..., self.m :].reshape(lead + (hp.shape[0], hq.shape[0]))
         _kronecker_apply(mats, hp, hq, out=out.reshape(mats.shape))

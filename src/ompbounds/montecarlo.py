@@ -46,7 +46,7 @@ from .bounds import (
 )
 from .checks import check_m, check_magnitudes, check_sigma, require_int
 from .dictionary import Dictionary, build_identity_hadamard
-from .omp import SingularSystemError, batch_rows, omp, support_match
+from .omp import SingularSystemError, batch_rows, kept_arrays, omp, support_match
 from .signals import RngStream, draw_sparse_signal, synthesize
 
 SWEEP_KINDS = ("tau", "s_min", "sigma")
@@ -150,9 +150,10 @@ def _count_successes(
     """Successes over trials ``t_lo..t_hi-1``, each on its own stream, in one ``omp`` call.
 
     Each trial draws its signal and then its noise from its own stream; the
-    chunk is synthesized in one stacked :func:`synthesize`, whose block of
-    measurements goes to ``omp`` as it is.  ``param_value`` only labels the
-    error of a singular trial, the first in trial order.
+    chunk is synthesized in one stacked :func:`synthesize` into this
+    thread's kept block of measurements (:func:`~ompbounds.omp.kept_arrays`),
+    which goes to ``omp`` as it is.  ``param_value`` only labels the error
+    of a singular trial, the first in trial order.
     """
     streams = [RngStream(master_seed, t).generator() for t in range(t_lo, t_hi)]
     supports = []
@@ -165,7 +166,8 @@ def _count_successes(
             supports.append(signal.support)
             yield signal
 
-    observed = synthesize(d, signals(), sigma, streams).observed
+    (observed,) = kept_arrays("observed", [(len(streams), d.m)])
+    synthesize(d, signals(), sigma, streams, out=observed)
     try:
         result = omp(d, observed, tau)
     except SingularSystemError as err:

@@ -35,14 +35,13 @@ PIVOT_TOL = 1e-10
 # 2 m (the first scores, the current scores and the coefficients) and the
 # (tau, tau) factor U of the inverse Gram.  At m = 1024 that is 21 rows at
 # tau = 2, 13 at 60 and 2 at 200.  A larger batch amortizes more of each
-# iteration's fixed cost but raises a serial sweep's peak memory.  A thread
-# keeps the arrays of a call within this budget, plus its length-m residual
-# rows (about 1.2 MB at m = 1024), for its next call.
+# iteration's fixed cost but raises a serial sweep's peak memory.  It also
+# bounds what a thread keeps between calls (kept_arrays).
 _BATCH_BYTES = 2**20
 
-# Each thread's float64 buffer that omp carves its working arrays from, so
-# that a sweep's calls reuse pages already faulted in.
-_workspace = threading.local()
+# Each thread's float64 buffers, one per slot, that kept_arrays carves
+# arrays from, so that a sweep's chunks reuse pages already faulted in.
+_kept = threading.local()
 
 
 class SingularSystemError(RuntimeError):
@@ -95,26 +94,30 @@ class OmpResult:
     residual_norms: np.ndarray
 
 
-def _row_bytes(n: int, tau: int) -> int:
-    return 8 * (3 * n + tau * tau)
-
-
 def batch_rows(n: int, tau: int) -> int:
     """Rows of one lockstep call on ``n`` atoms whose arrays fit ``_BATCH_BYTES`` (at least 1)."""
-    return max(1, _BATCH_BYTES // _row_bytes(n, tau))
+    return max(1, _BATCH_BYTES // (8 * (3 * n + tau * tau)))
 
 
-def _working_arrays(batch: int, m: int, n: int, tau: int) -> list[np.ndarray]:
-    """``alpha0``, ``scores``, ``dense``, ``residual`` and ``factor``, unset, in the workspace."""
-    shapes = [(batch, n)] * 3 + [(batch, m), (batch, tau, tau)]
+def kept_arrays(slot: str, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Unset C-contiguous float64 arrays of ``shapes``, views of this thread's buffer for ``slot``.
+
+    Each array starts a multiple of 64 bytes into the buffer, and the arrays
+    of one call do not overlap.  The one keep rule: the buffer is kept for
+    the slot's next call in this thread when the arrays fit
+    ``_BATCH_BYTES``.  A sweep chunk has at most ``batch_rows`` rows, so its
+    arrays are kept unless one row alone is over the budget; ``omp``'s
+    arrays for a larger batch, and any arrays over the budget, are freed on
+    return.  A later call reuses the kept buffer, so a caller returns no
+    view of these arrays and sets every entry it reads.
+    """
     counts = [math.prod(shape) for shape in shapes]
-    # Each array starts a multiple of 64 bytes into the buffer.
     starts = list(accumulate((-(-c // 8) * 8 for c in counts), initial=0))
-    buf = getattr(_workspace, "buf", None)
+    buf = getattr(_kept, slot, None)
     if buf is None or len(buf) < starts[-1]:
         buf = np.empty(starts[-1])
-        if batch * _row_bytes(n, tau) <= _BATCH_BYTES:
-            _workspace.buf = buf
+        if 8 * sum(counts) <= _BATCH_BYTES:
+            setattr(_kept, slot, buf)
     return [buf[s : s + c].reshape(shape) for s, c, shape in zip(starts, counts, shapes)]
 
 
@@ -135,14 +138,13 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     and every reduction is a stacked matrix product, so a row's result does
     not depend on its batch.
 
-    A thread keeps its working arrays between calls: the first and current
-    scores, the coefficients scattered over all atoms, the residual and
-    ``U``.  It keeps them up to the largest call whose batch fits
-    ``batch_rows`` without its floor of one (21 rows at ``m = 1024,
-    tau = 2``, about 1.2 MB with the residual rows); a larger call's arrays
-    are freed on return.  Each call zeroes the coefficients and ``U`` on
-    entry, so a call that raised leaves nothing behind, and no result is a
-    view of these arrays.
+    The working arrays are :func:`kept_arrays`: the first and current
+    scores, the coefficients scattered over all atoms and ``U`` in one slot,
+    whose bytes are those ``batch_rows`` counts, and the residual in
+    another.  A sweep chunk's are kept for the thread's next call (up to 21
+    rows at ``m = 1024, tau = 2``).  Each call zeroes the coefficients and
+    ``U`` on entry, so a call that raised leaves nothing behind, and no
+    result is a view of these arrays.
 
     Results have the batch shape of ``y``: ``(tau,)`` or ``(B, tau)``.
     Raises ``ValueError`` for a ``y`` of another shape or with a NaN or
@@ -162,7 +164,8 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     ys = y.reshape(-1, d.m)
     batch = len(ys)
     rows = np.arange(batch)
-    alpha0, scores, dense, residual, factor = _working_arrays(batch, d.m, d.n, tau)
+    alpha0, scores, dense, factor = kept_arrays("omp", [(batch, d.n)] * 3 + [(batch, tau, tau)])
+    (residual,) = kept_arrays("residual", [(batch, d.m)])
     d.correlate_all(ys, out=alpha0)  # <A_j, y>, kept for every coefficient update
     dense[:] = 0.0  # x scattered over all n atoms
     # G^-1 = U^T D U: row i of U is iteration i's u_i = [-v_i, 1], zero-padded,

@@ -11,23 +11,15 @@ generator, and a row of a stack has the bits of that trial alone.  The
 rules on ``tau``, the magnitudes and ``sigma`` are those of ``checks``.
 """
 
-import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
 
-from .checks import check_magnitudes, check_sigma, require_int
+from .checks import check_magnitudes, check_out, check_sigma, require_int
 from .dictionary import Dictionary
-from .omp import _BATCH_BYTES
-
-# Each thread's buffer that synthesize stacks its coefficients in.  It is
-# kept while a call's stack fits omp's batch budget, as every sweep chunk's
-# does, so a sweep's chunks reuse pages already faulted in.  A stack
-# allocated per call, beside the transform's arrays, can outgrow what the C
-# heap keeps between calls, and every chunk then faults its pages in again.
-_coefficients = threading.local()
+from .omp import kept_arrays
 
 
 @dataclass(frozen=True)
@@ -90,17 +82,6 @@ class SparseSignal:
             raise ValueError("on-support magnitude outside [s_min, s_max]")
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Observation ``observed = A @ s + noise`` with its noise retained.
-
-    Both are ``(m,)`` for one signal, or ``(B, m)`` with a row per signal.
-    """
-
-    observed: np.ndarray
-    noise: np.ndarray
-
-
 def draw_support(rng: Generator, n: int, tau: int) -> np.ndarray:
     """First ``tau`` indices of a uniform random permutation of ``0..n-1``.
 
@@ -131,28 +112,19 @@ def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: fl
     return signal
 
 
-def _coefficient_block(rows: int, n: int) -> np.ndarray:
-    """A ``(rows, n)`` C-contiguous float64 block, unset, from this thread's kept buffer."""
-    buf = getattr(_coefficients, "buf", None)
-    if buf is None or len(buf) < rows * n:
-        buf = np.empty(rows * n)
-        if 8 * rows * n <= _BATCH_BYTES:
-            _coefficients.buf = buf
-    return buf[: rows * n].reshape(rows, n)
-
-
 def synthesize(
     d: Dictionary,
     s: SparseSignal | Iterable[SparseSignal],
     sigma: float,
     rng: Generator | Sequence[Generator],
-) -> Measurement:
-    """Form ``observed = A @ s + w`` with ``w ~ N(0, sigma^2 I)``.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The measurement ``A @ s + w`` with ``w ~ N(0, sigma^2 I)``: ``(m,)``, or ``(B, m)``.
 
     ``s`` is one :class:`SparseSignal` and ``rng`` its generator, or ``s`` is
     an iterable of ``B`` signals and ``rng`` one generator for each; then the
-    measurement's arrays are ``(B, m)`` blocks.  The signals are taken one
-    at a time into one stack of coefficients, which goes through one
+    result is a ``(B, m)`` block, a row per signal.  The signals are taken
+    one at a time into one stack of coefficients, which goes through one
     :meth:`Dictionary.matvec`; then each noise vector is drawn from its own
     generator.  So each generator's draws come in the order they would
     alone, a lazily drawn signal is kept only until it is stacked, and row
@@ -160,12 +132,21 @@ def synthesize(
 
     The noise is drawn at unit variance and scaled by ``sigma`` afterwards,
     so from a fixed generator state the noise vector for ``sigma=c`` is
-    exactly ``c`` times the one for ``sigma=1``.
+    exactly ``c`` times the one for ``sigma=1``.  The stack, and then the
+    noise in its first ``B m`` entries, use this thread's kept memory
+    (:func:`~ompbounds.omp.kept_arrays`); the transform's temporaries are
+    fresh.  The result is a fresh array, or ``out``, a C-contiguous float64
+    array of its shape, which is checked before any signal is taken.
     """
     check_sigma(sigma)
     signals = iter([s] if isinstance(s, SparseSignal) else s)
     rngs = [rng] if isinstance(rng, Generator) else list(rng)
-    coefficients = _coefficient_block(len(rngs), d.n)
+    shape = (d.m,) if isinstance(s, SparseSignal) else (len(rngs), d.m)
+    if out is None:
+        out = np.empty(shape)
+    else:
+        check_out(out, shape)
+    (coefficients,) = kept_arrays("coefficients", [(len(rngs), d.n)])
     rows = 0
     for row, x in zip(coefficients, signals):
         if len(x.values) != d.n:
@@ -175,14 +156,11 @@ def synthesize(
     given = rows + sum(1 for _ in signals)
     if given != len(rngs):
         raise ValueError(f"{given} signals need as many generators, got {len(rngs)}")
-    observed = d.matvec(coefficients)
-    # Allocated once the transform has freed its temporary, so a call holds
-    # at most two fresh (B, m) blocks at a time.
-    noise = np.empty_like(observed)
+    observed = d.matvec(coefficients, out=out.reshape(-1, d.m))
+    # The stack is spent: the noise goes in its first B m entries.
+    noise = coefficients.reshape(-1)[: observed.size].reshape(observed.shape)
     for w, g in zip(noise, rngs):
         g.standard_normal(out=w)
     noise *= sigma
     observed += noise
-    if isinstance(s, SparseSignal):
-        return Measurement(observed=observed[0], noise=noise[0])
-    return Measurement(observed=observed, noise=noise)
+    return out

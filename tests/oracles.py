@@ -222,14 +222,14 @@ class DenseDictionary:
             raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
         return np.matmul(r, self._matrix, out=out)
 
-    def matvec(self, s):
-        """``A @ s`` for ``(n,)`` or ``(B, n)`` coefficients, rows along the last axis."""
+    def matvec(self, s, out=None):
+        """``A @ s`` for ``(n,)`` or ``(B, n)`` coefficients; ``out`` as in :meth:`apply`."""
         s = np.asarray(s, dtype=np.float64)
         if s.ndim not in (1, 2) or s.shape[-1] != self.n:
             raise ValueError(
                 f"coefficient shape {s.shape} is neither ({self.n},) nor (B, {self.n})"
             )
-        return self.apply(s)
+        return self.apply(s, out=out)
 
     def apply(self, s, out=None):
         """``A @ s`` along the last axis; ``out``, if given, receives it."""

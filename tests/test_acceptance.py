@@ -17,7 +17,6 @@ from ompbounds import (
     build_identity_hadamard,
     count_successes,
     draw_sparse_signal,
-    estimate_beta,
     omp,
     run_point,
     run_sweep,
@@ -26,6 +25,7 @@ from ompbounds import (
     thm1_condition,
     thm1_probability,
     thm2_bound,
+    unit_correlation_max,
 )
 from ompbounds.cli import main as cli_main
 from ompbounds.montecarlo import ExperimentConfig
@@ -154,7 +154,7 @@ def test_criterion_4_bound_soundness_desk_scale():
     d = build_identity_hadamard(m)
     for sigma_sq in (1e-6, 1e-4):
         sigma = math.sqrt(sigma_sq)
-        beta = estimate_beta(d, sigma, 10_000, RngStream(GRID_SEED, 0))
+        beta = sigma * unit_correlation_max(d, 10_000, RngStream(GRID_SEED, 0))
         for tau in (2, 4, 8, 16):
             successes = count_successes(
                 d, tau, 0.5, 1.0, sigma, 1000, GRID_SEED + tau, param_value=tau
@@ -180,7 +180,7 @@ def test_criterion_5_lemma1_empirical_dominance():
     failures = []
     m, tau, s_min, s_max, sigma = 8, 2, 0.5, 1.0, 0.01
     d = build_identity_hadamard(m)
-    beta = estimate_beta(d, sigma, 10_000, RngStream(GRID_SEED, 0))
+    beta = sigma * unit_correlation_max(d, 10_000, RngStream(GRID_SEED, 0))
     xi = s_min / 2.0
     draws = 100_000
     g = RngStream(GRID_SEED, 1).generator()
@@ -189,9 +189,9 @@ def test_criterion_5_lemma1_empirical_dominance():
     on_support = np.zeros((draws, d.n), dtype=bool)
     for k in range(draws):
         s = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-        meas = synthesize(d, s, sigma, g)
-        observed[k] = meas.observed
-        noise[k] = meas.noise
+        # synthesize's noise and measurement, bit for bit (test_measurement_identity).
+        noise[k] = sigma * g.standard_normal(m)
+        observed[k] = d.matvec(s.values) + noise[k]
         on_support[k, s.support] = True
     gamma_stat = np.abs(d.correlate_all(observed))
     hypothesis_ok = np.abs(d.correlate_all(noise)) <= beta
@@ -277,11 +277,11 @@ def test_criterion_7_noiseless_and_oracle_agreement():
     for t in range(1, 1001):
         g = RngStream(GRID_SEED, t).generator()
         s = draw_sparse_signal(g, d.n, 2, 0.5, 1.0)
-        meas = synthesize(d, s, 0.01, g)
-        oracle = exhaustive_l0(d, meas.observed, 2)
+        y = synthesize(d, s, 0.01, g)
+        oracle = exhaustive_l0(d, y, 2)
         if support_match(oracle.support, s.support):
             oracle_hits += 1
-            greedy = omp(d, meas.observed, 2)
+            greedy = omp(d, y, 2)
             if not support_match(greedy.support, oracle.support):
                 failures.append(f"trial {t}: OMP disagrees with successful oracle")
     if oracle_hits == 0:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import math
 import re
@@ -18,7 +19,6 @@ from ompbounds import (
     count_successes,
     draw_sparse_signal,
     draw_support,
-    estimate_beta,
     omp,
     run_point,
     run_sweep,
@@ -42,6 +42,11 @@ def _config(**kw):
 def _inputs(**kw):
     base = dict(n=16, tau=2, mu_max=0.25, s_min=0.5, s_max=1.0, sigma=0.01, beta=0.05)
     return GuaranteeInputs(**{**base, **kw})
+
+
+def _estimate_beta(sigma=0.01, draws=4):
+    # The beta command's estimate, sigma times unit_correlation_max, as main runs it.
+    return cli._cmd_beta(argparse.Namespace(m=8, sigma=sigma, draws=draws, seed=0))
 
 
 # Every integer boundary: (call with the value, name, lo, hi or None, an
@@ -89,9 +94,7 @@ BOUNDARIES = {
     "unit_correlation_max_draws": (
         lambda v: unit_correlation_max(D, v, RngStream(0, 0)), "draws", 1, None, 0
     ),
-    "estimate_beta_draws": (
-        lambda v: estimate_beta(D, 0.01, v, RngStream(0, 0)), "draws", 1, None, 0
-    ),
+    "estimate_beta_draws": (lambda v: _estimate_beta(draws=v), "draws", 1, None, 0),
     "alpha_from_beta_n": (lambda v: alpha_from_beta(0.1, 0.01, v), "n", 2, None, 1),
     "bernstein_tail_n_terms": (lambda v: bernstein_tail(0.1, v, 0.1, 0.1), "n_terms", 0, None, -1),
 }
@@ -164,9 +167,7 @@ REAL_BOUNDARIES = {
         lambda v: synthesize(D, draw_sparse_signal(_gen(), 16, 2, 0.5, 1.0), v, _gen()),
         "sigma", " >= 0", -1.0, 0,
     ),
-    "estimate_beta_sigma": (
-        lambda v: estimate_beta(D, v, 4, RngStream(0, 0)), "sigma", " >= 0", -1.0, 0
-    ),
+    "estimate_beta_sigma": (lambda v: _estimate_beta(sigma=v), "sigma", " >= 0", -1.0, 0),
     "thm1_probability_alpha": (lambda v: thm1_probability(_inputs(), v), "alpha", " > 0", 0.0, 1),
     "thm1_alpha": (lambda v: thm1(_inputs(), v), "alpha", " > 0", 0.0, 1),
     "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 0.01, 16), "beta", " > 0", 0.0, 1),
@@ -217,7 +218,7 @@ SCALE_BOUNDARIES = {
     "synthesize_sigma": (
         lambda v: synthesize(D, draw_sparse_signal(_gen(), 16, 2, 0.5, 1.0), v, _gen()), "sigma"
     ),
-    "estimate_beta_sigma": (lambda v: estimate_beta(D, v, 4, RngStream(0, 0)), "sigma"),
+    "estimate_beta_sigma": (lambda v: _estimate_beta(sigma=v), "sigma"),
     # At sigma = 1 the largest beta still gives a finite alpha; at 0.01 its
     # alpha overflows, which alpha_from_beta refuses by a rule of its own.
     "alpha_from_beta_beta": (lambda v: alpha_from_beta(v, 1.0, 16), "beta"),
@@ -237,6 +238,11 @@ def test_scale_boundaries_share_one_rule(boundary, kind):
     # every normal sigma with the same beta/sigma gives 0.9994997241638214.
     call, name = SCALE_BOUNDARIES[boundary]
     smallest, largest = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    if (boundary, kind) == ("estimate_beta_sigma", "largest"):
+        # sigma passes, and the beta it gives, a few times sigma, is refused.
+        with pytest.raises(ValueError, match="^beta must square to a normal float"):
+            call(largest)
+        return
     if kind in ("smallest", "largest"):
         call(smallest if kind == "smallest" else largest)  # accepted: its square is normal
         return

@@ -374,14 +374,14 @@ def test_a_chunk_is_synthesized_in_one_stacked_call(monkeypatch, cap_rows, cut):
         chunks.append([])
         return real["chunk"](*args)
 
-    def synthesize(d, signals, sigma, streams):
-        meas = real["synthesize"](d, signals, sigma, streams)
-        chunks[-1].append(("synthesize", len(meas.observed), len(streams), meas.observed))
-        return meas
+    def synthesize(d, signals, sigma, streams, out=None):
+        observed = real["synthesize"](d, signals, sigma, streams, out=out)
+        chunks[-1].append(("synthesize", len(observed), len(streams), observed))
+        return observed
 
-    def matvec(self, s):
+    def matvec(self, s, out=None):
         chunks[-1].append(("matvec", s.shape))
-        return real["matvec"](self, s)
+        return real["matvec"](self, s, out=out)
 
     def omp(d, y, tau):
         chunks[-1].append(("omp", y))
@@ -398,6 +398,34 @@ def test_a_chunk_is_synthesized_in_one_stacked_call(monkeypatch, cap_rows, cut):
         assert calls[0][1] == (rows, d.n)
         assert calls[1][1:3] == (rows, rows)
         assert calls[2][1] is calls[1][3]
+
+
+def test_chunks_measure_into_one_kept_block(monkeypatch):
+    # Each chunk synthesizes into this thread's kept (B, m) block and omp
+    # takes it as it is: two calls in a fresh thread reuse one block, and no
+    # omp result is a view of it.
+    d = build_identity_hadamard(64)
+    want = count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3)
+    solved = []
+    real = montecarlo.omp
+
+    def solving(d, y, tau):
+        solved.append((y, real(d, y, tau)))
+        return solved[-1][1]
+
+    def twice():
+        counts = [count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3) for _ in range(2)]
+        return counts, omp_module._kept.observed
+
+    monkeypatch.setattr(montecarlo, "omp", solving)
+    with ThreadPoolExecutor(1) as fresh:
+        counts, block = fresh.submit(twice).result(timeout=60)
+    assert counts == [want, want] and all(type(c) is int for c in counts)
+    assert len(solved) == 10
+    for y, result in solved:
+        assert y.shape == (8, d.m) and y.base is block
+        for field in (result.support, result.coefficients, result.residual_norms):
+            assert not np.shares_memory(field, block)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 13, 337])

@@ -25,7 +25,8 @@ from ompbounds import (
 from ompbounds.montecarlo import _point_master_seed
 from oracles import DenseDictionary, exhaustive_l0, omp_direct, omp_qr
 
-# ompbounds.omp is the solver function; the module holds the workspace.
+# ompbounds.omp is the solver function; the module holds each thread's
+# kept buffers, one per slot, and kept_arrays, which carves them.
 omp_module = sys.modules["ompbounds.omp"]
 
 # Largest tau with (2 tau - 1) mu_max < 1, the noiseless exact-recovery regime.
@@ -36,8 +37,7 @@ def _planted(m, tau, seed, sigma, s_min=0.5, s_max=1.0):
     d = build_identity_hadamard(m)
     g = RngStream(seed, 1).generator()
     s = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-    meas = synthesize(d, s, sigma, g)
-    return d, s, meas
+    return d, s, synthesize(d, s, sigma, g)
 
 
 def test_single_atom_noiseless():
@@ -148,8 +148,7 @@ def test_omp_agrees_with_qr_oracle(m_tau, sigma, seed, zero):
     if zero:
         d, y = build_identity_hadamard(m), np.zeros(m)
     else:
-        d, _, meas = _planted(m, tau, seed, sigma)
-        y = meas.observed
+        d, _, y = _planted(m, tau, seed, sigma)
     _assert_agrees_with_qr_oracle(d, y, tau)
 
 
@@ -160,15 +159,15 @@ SEEDS_AT_M1024 = {10: 6, 30: 6, 60: 6, 200: 2}
 @pytest.mark.parametrize("tau", sorted(SEEDS_AT_M1024))
 def test_omp_agrees_with_qr_oracle_at_m1024(tau):
     for seed in range(SEEDS_AT_M1024[tau]):
-        d, _, meas = _planted(1024, tau, seed, sigma=(0.0, 1e-3, 0.1)[seed % 3])
-        _assert_agrees_with_qr_oracle(d, meas.observed, tau)
+        d, _, y = _planted(1024, tau, seed, sigma=(0.0, 1e-3, 0.1)[seed % 3])
+        _assert_agrees_with_qr_oracle(d, y, tau)
 
 
 def test_omp_agrees_with_qr_oracle_at_m4096():
     # A 300-atom fit, the largest here, on the way to the m=4096 transition
     # (tau 500..1000), where the factored inverse Gram sums the most terms.
-    d, _, meas = _planted(4096, 300, 0, sigma=1e-3)
-    _assert_agrees_with_qr_oracle(d, meas.observed, 300)
+    d, _, y = _planted(4096, 300, 0, sigma=1e-3)
+    _assert_agrees_with_qr_oracle(d, y, 300)
 
 
 def _trial_rows(d, tau, sigma, rows):
@@ -177,7 +176,7 @@ def _trial_rows(d, tau, sigma, rows):
     for t in range(1, rows + 1):
         g = RngStream(_point_master_seed(0, 0), t).generator()
         s = draw_sparse_signal(g, d.n, tau, 0.5, 1.0)
-        ys.append(synthesize(d, s, sigma, g).observed)
+        ys.append(synthesize(d, s, sigma, g))
     return np.array(ys)
 
 
@@ -251,6 +250,33 @@ def _workspace_calls():
     return calls
 
 
+def test_kept_arrays_follow_one_keep_rule():
+    # Disjoint C-contiguous float64 views of the slot's buffer, each 64 bytes
+    # aligned from its start; the buffer is kept while the arrays fit the
+    # budget, and a smaller call reuses it.
+    budget = omp_module._BATCH_BYTES // 8
+
+    def carve():
+        kept = omp_module._kept
+        shapes = [(3, 5), (2, 7, 7), (1,), (4, 2)]
+        arrays = omp_module.kept_arrays("probe", shapes)
+        buf = kept.probe
+        assert [a.shape for a in arrays] == shapes
+        for i, a in enumerate(arrays):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert np.shares_memory(a, buf) and (a.ctypes.data - buf.ctypes.data) % 64 == 0
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        (small,) = omp_module.kept_arrays("probe", [(6,)])
+        assert kept.probe is buf and np.shares_memory(small, buf)
+        (full,) = omp_module.kept_arrays("probe", [(budget,)])
+        assert full.base is kept.probe
+        (over,) = omp_module.kept_arrays("probe", [(budget + 1,)])
+        assert full.base is kept.probe and not np.shares_memory(over, kept.probe)
+        assert getattr(kept, "other", None) is None
+
+    _in_fresh_thread(carve)
+
+
 def test_interleaved_calls_equal_calls_in_a_fresh_thread():
     # The workspace grows, is reused by smaller calls and outlives each call;
     # no order of calls may change a result.
@@ -298,10 +324,12 @@ def test_results_do_not_share_the_workspace():
     kept = [copy.deepcopy(r) for r in earlier]
     for previous, call in zip(earlier, calls[1:] + calls[:1]):
         later = omp(*call)
+        buffers = vars(omp_module._kept)
+        assert {"omp", "residual"} <= buffers.keys()
         for field in ("support", "coefficients", "residual_norms"):
             a, b = getattr(previous, field), getattr(later, field)
             assert not np.shares_memory(a, b), field
-            assert not np.shares_memory(b, omp_module._workspace.buf), field
+            assert not any(np.shares_memory(b, buf) for buf in buffers.values()), field
     for r, copied in zip(earlier, kept):
         _assert_same_bits(r, copied)
 
@@ -362,9 +390,9 @@ def test_a_call_over_the_budget_keeps_nothing(m, tau, rows):
 
 
 def test_batch_shape_follows_the_measurements():
-    d, _, meas = _planted(64, 5, 3, sigma=0.01)
-    one = omp(d, meas.observed, 5)
-    batch = omp(d, meas.observed[None, :], 5)
+    d, _, y = _planted(64, 5, 3, sigma=0.01)
+    one = omp(d, y, 5)
+    batch = omp(d, y[None, :], 5)
     assert one.support.shape == one.coefficients.shape == one.residual_norms.shape == (5,)
     assert batch.support.shape == batch.coefficients.shape == batch.residual_norms.shape == (1, 5)
     assert np.array_equal(batch.support[0], one.support)
@@ -399,11 +427,11 @@ def test_omp_call_structure(monkeypatch):
 
 def test_residual_monotone_and_orthogonal():
     for seed in range(10):
-        d, s, meas = _planted(16, 5, seed, sigma=0.05)
-        r = omp(d, meas.observed, 5)
-        diffs = np.diff(np.concatenate([[np.linalg.norm(meas.observed)], r.residual_norms]))
+        d, s, y = _planted(16, 5, seed, sigma=0.05)
+        r = omp(d, y, 5)
+        diffs = np.diff(np.concatenate([[np.linalg.norm(y)], r.residual_norms]))
         assert (diffs <= 1e-12).all()
-        residual = meas.observed - sum(
+        residual = y - sum(
             c * d.column(j) for c, j in zip(r.coefficients, r.support)
         )
         for j in r.support:
@@ -413,9 +441,9 @@ def test_residual_monotone_and_orthogonal():
 
 def test_incremental_agrees_with_direct():
     for seed in range(10):
-        d, s, meas = _planted(16, 6, 100 + seed, sigma=0.1)
-        fast = omp(d, meas.observed, 6)
-        slow = omp_direct(d, meas.observed, 6)
+        d, s, y = _planted(16, 6, 100 + seed, sigma=0.1)
+        fast = omp(d, y, 6)
+        slow = omp_direct(d, y, 6)
         assert fast.support.tolist() == slow.support.tolist()
         np.testing.assert_allclose(fast.coefficients, slow.coefficients, atol=1e-10)
         assert fast.residual_norms[-1] == pytest.approx(slow.residual_norms[-1], abs=1e-10)
@@ -440,8 +468,8 @@ def test_permutation_equivariance():
 def test_noiseless_recovery_under_coherence_condition(m, tau):
     assert (2 * tau - 1) / math.sqrt(m) < 1.0
     for seed in range(50):
-        d, s, meas = _planted(m, tau, 1000 * m + seed, sigma=0.0)
-        r = omp(d, meas.observed, tau)
+        d, s, y = _planted(m, tau, 1000 * m + seed, sigma=0.0)
+        r = omp(d, y, tau)
         assert support_match(r.support, s.support), (m, tau, seed)
         assert r.residual_norms[-1] < 1e-10
 
@@ -462,8 +490,8 @@ def test_direct_method_detects_singular_set_too():
 
 
 def test_exhaustive_planted_noiseless():
-    d, s, meas = _planted(8, 2, 7, sigma=0.0)
-    r = exhaustive_l0(d, meas.observed, 2)
+    d, s, y = _planted(8, 2, 7, sigma=0.0)
+    r = exhaustive_l0(d, y, 2)
     assert support_match(r.support, s.support)
     assert r.residual_norms[-1] < 1e-12
 
@@ -483,11 +511,11 @@ def test_omp_agrees_with_exhaustive_when_oracle_recovers():
     for t in range(100):
         g = RngStream(31, t).generator()
         s = draw_sparse_signal(g, d.n, 2, 0.5, 1.0)
-        meas = synthesize(d, s, 0.01, g)
-        oracle = exhaustive_l0(d, meas.observed, 2)
+        y = synthesize(d, s, 0.01, g)
+        oracle = exhaustive_l0(d, y, 2)
         if support_match(oracle.support, s.support):
             recovered += 1
-            if support_match(omp(d, meas.observed, 2).support, oracle.support):
+            if support_match(omp(d, y, 2).support, oracle.support):
                 agree += 1
     assert recovered > 0
     assert agree == recovered

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import sys
@@ -17,8 +18,8 @@ from ompbounds import (
     synthesize,
 )
 
-# ompbounds.signals holds each thread's kept coefficient stack.
-signals_module = sys.modules["ompbounds.signals"]
+# ompbounds.omp holds each thread's kept buffers, one per slot.
+omp_module = sys.modules["ompbounds.omp"]
 
 
 def _zero_signal(n: int) -> SparseSignal:
@@ -33,12 +34,10 @@ def test_stream_reproducibility_bit_for_bit():
     for _ in range(2):
         g = RngStream(77, 5).generator()
         s = draw_sparse_signal(g, d.n, 3, 0.5, 1.0)
-        m = synthesize(d, s, 0.1, g)
-        out.append((s.values.copy(), s.support.copy(), m.observed.copy(), m.noise.copy()))
+        out.append((s.values.copy(), s.support.copy(), synthesize(d, s, 0.1, g)))
     np.testing.assert_array_equal(out[0][0], out[1][0])
     np.testing.assert_array_equal(out[0][1], out[1][1])
     np.testing.assert_array_equal(out[0][2], out[1][2])
-    np.testing.assert_array_equal(out[0][3], out[1][3])
 
 
 def test_distinct_streams_differ():
@@ -151,30 +150,28 @@ def test_synthesize_noiseless_identity_column():
     values = np.zeros(8)
     values[0] = 0.7
     s = SparseSignal(values=values, support=np.array([0]), s_min=0.7, s_max=0.7)
-    m = synthesize(d, s, 0.0, RngStream(0, 1).generator())
-    np.testing.assert_array_equal(m.observed, [0.7, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(m.noise, np.zeros(4))
+    y = synthesize(d, s, 0.0, RngStream(0, 1).generator())
+    np.testing.assert_array_equal(y, [0.7, 0.0, 0.0, 0.0])
 
 
 def test_synthesize_noise_variance():
+    # The measurement of the zero signal is its noise.
     d = build_identity_hadamard(128)
     g = RngStream(11, 0).generator()
     zero = _zero_signal(d.n)
-    samples = np.concatenate(
-        [synthesize(d, zero, 1.0, g).noise for _ in range(800)]
-    )
+    samples = np.concatenate([synthesize(d, zero, 1.0, g) for _ in range(800)])
     assert samples.size >= 100_000
     assert abs(samples.var() - 1.0) < 0.02
     np.testing.assert_array_equal(
-        synthesize(d, zero, 0.0, RngStream(11, 1).generator()).observed, np.zeros(d.m)
+        synthesize(d, zero, 0.0, RngStream(11, 1).generator()), np.zeros(d.m)
     )
 
 
 def test_noise_scaling_is_exact():
     d = build_identity_hadamard(32)
     zero = _zero_signal(d.n)
-    w1 = synthesize(d, zero, 0.01, RngStream(3, 9).generator()).noise
-    w2 = synthesize(d, zero, 0.02, RngStream(3, 9).generator()).noise
+    w1 = synthesize(d, zero, 0.01, RngStream(3, 9).generator())
+    w2 = synthesize(d, zero, 0.02, RngStream(3, 9).generator())
     np.testing.assert_array_equal(w2, 2.0 * w1)
 
 
@@ -186,11 +183,13 @@ def test_synthesize_dimension_mismatch():
 
 
 def test_measurement_identity():
+    # The noise is the generator's next m normals, drawn after the signal,
+    # times sigma: replayed from a copy taken there, it gives the bits.
     d = build_identity_hadamard(16)
     g = RngStream(4, 2).generator()
     s = draw_sparse_signal(g, d.n, 4, 0.5, 1.0)
-    m = synthesize(d, s, 0.05, g)
-    np.testing.assert_array_equal(m.observed, d.matvec(s.values) + m.noise)
+    noise = 0.05 * copy.deepcopy(g).standard_normal(d.m)
+    np.testing.assert_array_equal(synthesize(d, s, 0.05, g), d.matvec(s.values) + noise)
 
 
 @pytest.mark.parametrize("batch", [1, 5, 21])
@@ -198,7 +197,8 @@ def test_measurement_identity():
 def test_batched_synthesize_rows_equal_single_trials(m, batch):
     # Each trial draws its signal and then its noise from its own stream;
     # row i of the stacked measurement has the bits of trial i alone, and
-    # every stream is left where the single path leaves it.
+    # every stream is left where the single path leaves it.  A result
+    # written through out has the bits of a fresh one.
     d = build_identity_hadamard(m)
     tau = min(3, m)
 
@@ -207,16 +207,60 @@ def test_batched_synthesize_rows_equal_single_trials(m, batch):
         return streams, [draw_sparse_signal(g, d.n, tau, 0.5, 1.0) for g in streams]
 
     streams, signals = trial_streams()
+    noises = [0.05 * copy.deepcopy(g).standard_normal(m) for g in streams]
     got = synthesize(d, signals, 0.05, streams)
-    assert got.observed.shape == got.noise.shape == (batch, m)
+    assert got.shape == (batch, m)
+    block_streams, block_signals = trial_streams()
+    into = np.full((batch, m), np.nan)
+    assert synthesize(d, block_signals, 0.05, block_streams, out=into) is into
+    assert np.array_equal(into, got)
     alone_streams, alone_signals = trial_streams()
+    into_streams, into_signals = trial_streams()
     for row, (s, g) in enumerate(zip(alone_signals, alone_streams)):
         want = synthesize(d, s, 0.05, g)
-        assert want.observed.shape == want.noise.shape == (m,)
-        assert np.array_equal(got.observed[row], want.observed)
-        assert np.array_equal(got.noise[row], want.noise)
+        assert want.shape == (m,)
+        assert np.array_equal(got[row], want)
+        assert np.array_equal(got[row], d.matvec(s.values) + noises[row])
+        into = np.full(m, np.nan)
+        assert synthesize(d, into_signals[row], 0.05, into_streams[row], out=into) is into
+        assert np.array_equal(into, want)
     for g, g_alone in zip(streams, alone_streams):
         assert np.array_equal(g.standard_normal(4), g_alone.standard_normal(4))
+
+
+def _refusals(shape):
+    """A wrong shape, a float32 array and a strided view, each refused as ``out`` for ``shape``."""
+    wrong = (shape[0] + 1,) + shape[1:]
+    return [np.empty(wrong), np.empty(shape, np.float32), np.empty(shape + (2,))[..., 0]]
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_out_of_another_layout_is_refused(batch):
+    # apply's one message; synthesize checks before it takes a signal, so a
+    # refused call draws nothing and advances no generator.
+    d = build_identity_hadamard(8)
+    shape = (d.m,) if batch is None else (batch, d.m)
+    message = f"out must be a C-contiguous float64 array of shape {shape}"
+    coefficients = np.zeros(shape[:-1] + (d.n,))
+    for out in _refusals(shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            d.matvec(coefficients, out=out)
+        streams = [RngStream(2, t).generator() for t in range(batch or 1)]
+        states = [copy.deepcopy(g.bit_generator.state) for g in streams]
+        taken = []
+
+        def lazy():
+            for g in streams:
+                taken.append(g)
+                yield draw_sparse_signal(g, d.n, 2, 0.5, 1.0)
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if batch is None:
+                synthesize(d, _zero_signal(d.n), 0.05, streams[0], out=out)
+            else:
+                synthesize(d, lazy(), 0.05, streams, out=out)
+        assert taken == []
+        assert [g.bit_generator.state for g in streams] == states
 
 
 def test_batched_synthesize_refuses_mismatched_counts():
@@ -259,26 +303,23 @@ def test_signals_drawn_as_they_are_stacked_equal_a_list():
     want = synthesize(d, signals, 0.05, streams)
     lazy_streams = [RngStream(9, t).generator() for t in range(1, 8)]
     lazy = (draw_sparse_signal(g, d.n, 3, 0.5, 1.0) for g in lazy_streams)
-    got = synthesize(d, lazy, 0.05, lazy_streams)
-    assert np.array_equal(got.observed, want.observed)
-    assert np.array_equal(got.noise, want.noise)
+    assert np.array_equal(synthesize(d, lazy, 0.05, lazy_streams), want)
     message = "8 signals need as many generators, got 7"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synthesize(d, iter(signals + signals[:1]), 0.05, streams)
 
 
 def test_batched_synthesize_results_own_their_memory():
-    # The coefficient stack is kept for the thread's next call; no result
-    # may be a view of it, and a later call changes no earlier result.
+    # The coefficient stack, which then holds the noise, is kept for the
+    # thread's next call; no result may be a view of it, and a later call
+    # changes no earlier result.
     d = build_identity_hadamard(64)
     first = _synthesized(d, 5)
-    kept = [first.observed.copy(), first.noise.copy()]
+    kept = first.copy()
     second = _synthesized(d, 3, seed=10)
-    buf = signals_module._coefficients.buf
-    for a in (first.observed, first.noise):
-        assert not np.shares_memory(a, buf)
-        assert not any(np.shares_memory(a, b) for b in (second.observed, second.noise))
-    assert np.array_equal(first.observed, kept[0]) and np.array_equal(first.noise, kept[1])
+    assert not np.shares_memory(first, omp_module._kept.coefficients)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
 
 
 def test_call_after_a_refused_call_equals_a_clean_one():
@@ -292,8 +333,7 @@ def test_call_after_a_refused_call_equals_a_clean_one():
     got = _synthesized(d, 5)
     with ThreadPoolExecutor(1) as fresh:
         want = fresh.submit(_synthesized, d, 5).result(timeout=60)
-    assert np.array_equal(got.observed, want.observed)
-    assert np.array_equal(got.noise, want.noise)
+    assert np.array_equal(got, want)
 
 
 def test_two_threads_each_keep_their_own_stack():
@@ -303,11 +343,7 @@ def test_two_threads_each_keep_their_own_stack():
     def run(plan, barrier=None):
         if barrier is not None:
             barrier.wait(timeout=60)
-        out = []
-        for batch, seed in plan:
-            meas = _synthesized(d, batch, seed)
-            out.append((meas.observed, meas.noise))
-        return out
+        return [_synthesized(d, batch, seed) for batch, seed in plan]
 
     serial = [run(plan) for plan in plans]
     barrier = threading.Barrier(2)
@@ -315,8 +351,8 @@ def test_two_threads_each_keep_their_own_stack():
         futures = [pool.submit(run, plan, barrier) for plan in plans]
         together = [f.result(timeout=120) for f in futures]
     for want, got in zip(serial, together):
-        for (wo, wn), (go, gn) in zip(want, got):
-            assert np.array_equal(wo, go) and np.array_equal(wn, gn)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
 
 
 def test_a_stack_over_the_budget_is_not_kept():
@@ -326,7 +362,7 @@ def test_a_stack_over_the_budget_is_not_kept():
 
     def kept_after(batch):
         _synthesized(d, batch, tau=2)
-        buf = getattr(signals_module._coefficients, "buf", None)
+        buf = getattr(omp_module._kept, "coefficients", None)
         return None if buf is None else buf.nbytes
 
     with ThreadPoolExecutor(1) as fresh:
