@@ -3,7 +3,8 @@
 Sweep output is CSV with a fixed header; reals are printed in shortest
 round-trip decimal and booleans as ``true``/``false``, so identical
 configs and seeds produce byte-identical files at any parallelism level.
-An input that breaks a rule of ``checks`` exits 1 with one ``error:`` line.
+An input that breaks a rule of ``checks`` exits 1 with one ``error:`` line
+and nothing on stdout.
 """
 
 import argparse
@@ -41,20 +42,26 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _parse_config_file(path: str) -> dict:
+def _read_pairs(items) -> dict:
+    """``{key: value}`` of ``(where, "key=value")`` text items, values as text.
+
+    A missing ``=`` or a key given twice is refused as ``{where}: ...``.
+    """
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = (part.strip() for part in line.partition("="))
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+    for where, item in items:
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ValueError(f"{where}: expected key=value, got {item.strip()!r}")
+        if key in values:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        values[key] = val
     return values
+
+
+def _write_values(values: dict) -> int:
+    """Print a command's ``key=value`` result lines in one call; text values as they are."""
+    print("\n".join(f"{k}={v if isinstance(v, str) else _fmt(v)}" for k, v in values.items()))
+    return 0
 
 
 def _parse(key: str, kind: type, text: str):
@@ -145,66 +152,51 @@ def _plot_script(csv_path: str, sweep: str) -> str:
 
 def _cmd_coherence(args) -> int:
     d = build_identity_hadamard(args.m)
-    print(f"M={d.m}")
-    print(f"N={d.n}")
-    print(f"mu_max={d.mutual_coherence():.6f}")
-    return 0
+    return _write_values({"M": d.m, "N": d.n, "mu_max": f"{d.mutual_coherence():.6f}"})
 
 
 def _cmd_bound(args) -> int:
-    g = GuaranteeInputs(
-        n=args.n,
-        tau=args.tau,
-        mu_max=args.mu_max,
-        s_min=args.s_min,
-        s_max=args.s_max,
-        sigma=args.sigma,
-        beta=args.beta,
-    )
+    # The bound flags' destinations are GuaranteeInputs' field names.
+    g = GuaranteeInputs(**{f.name: getattr(args, f.name) for f in fields(GuaranteeInputs)})
     b = thm2_bound(g, tight_lambda=args.tight_lambda)
     cond1, prob1, alpha, alpha_note = thm1(g, args.alpha)
-
-    print(f"thm1_condition={_fmt(cond1)}")
-    print(f"thm1_prob={_fmt(prob1)}")
-    alpha_text = "undefined" if alpha is None else f"{_fmt(alpha)} ({alpha_note})"
-    print(f"alpha={alpha_text}")
-    print(f"thm2_condition={_fmt(b.condition_ok)}")
-    print(f"thm2_prob={_fmt(b.probability)}")
-    # The breakdown in field order; its condition is printed above.
-    for f in fields(b):
-        if f.name != "condition_ok":
-            print(f"{f.name}={_fmt(getattr(b, f.name))}")
-    return 0
+    values = {
+        "thm1_condition": cond1,
+        "thm1_prob": prob1,
+        "alpha": "undefined" if alpha is None else f"{_fmt(alpha)} ({alpha_note})",
+        "thm2_condition": b.condition_ok,
+        "thm2_prob": b.probability,
+    }
+    # The breakdown in field order; its condition is given above.
+    values.update((f.name, getattr(b, f.name)) for f in fields(b) if f.name != "condition_ok")
+    return _write_values(values)
 
 
 def _cmd_beta(args) -> int:
     d = build_identity_hadamard(args.m)
     check_sigma(args.sigma)
     beta = args.sigma * unit_correlation_max(d, args.draws, RngStream(args.seed, 0))
-    print(f"m={d.m}")
-    print(f"n={d.n}")
-    print(f"sigma={_fmt(args.sigma)}")
-    print(f"draws={args.draws}")
-    print(f"beta={_fmt(beta)}")
-    if args.sigma > 0:
-        ab = alpha_from_beta(beta, args.sigma, d.n)
-        print(f"alpha={_fmt(ab.alpha)}")
-        print(f"alpha_valid={_fmt(ab.valid)}")
+    values = {"m": d.m, "n": d.n, "sigma": args.sigma, "draws": args.draws, "beta": beta}
+    if args.sigma == 0:
+        values["alpha"] = "undefined"
     else:
-        print("alpha=undefined")
-    return 0
+        try:
+            ab = alpha_from_beta(beta, args.sigma, d.n)
+        except ValueError as err:
+            # beta is a few times sigma, so a sigma near either end of its
+            # range can give a beta past that end.
+            raise ValueError(f"{err} at --sigma {args.sigma!r}") from None
+        values.update(alpha=ab.alpha, alpha_valid=ab.valid)
+    return _write_values(values)
 
 
 def _cmd_sweep(args) -> int:
-    raw = {} if args.config is None else _parse_config_file(args.config)
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, val = (part.strip() for part in item.partition("="))
-        if key in overrides:
-            raise ValueError(f"--set gives key {key!r} twice")
-        overrides[key] = val
+    lines = []
+    if args.config is not None:
+        with open(args.config) as fh:
+            lines = [(f"{args.config}:{n}", t.split("#", 1)[0]) for n, t in enumerate(fh, start=1)]
+    raw = _read_pairs((where, text) for where, text in lines if text.strip())
+    overrides = _read_pairs(("--set", item) for item in args.set or [])
     if {"sigma", "sigma_sq"} & overrides.keys():
         # The aliases name one knob: an override of either replaces the file's.
         raw = {k: v for k, v in raw.items() if k not in ("sigma", "sigma_sq")}

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 
 import pytest
 
@@ -207,6 +208,25 @@ def test_beta_rejects_nan_sigma(capsys):
     assert "must be a finite real" in _one_line_error(capsys)
 
 
+def test_beta_refuses_a_beta_past_its_range_before_printing(capsys):
+    # sigma = 1e154 passes its own rule, but the beta it gives, about 2.5
+    # times sigma, has no normal square; the five lines before alpha were
+    # once printed ahead of the refusal, which named only beta.
+    assert main(["beta", "-m", "8", "--sigma", "1e154", "--draws", "4"]) == 1
+    assert _one_line_error(capsys) == (
+        "error: beta must square to a normal float: when positive, in "
+        "[1.492e-154, 1.341e+154], got 2.5007205837787874e+154 at --sigma 1e+154"
+    )
+
+
+def test_bound_flags_are_guarantee_inputs_fields():
+    # _cmd_bound builds GuaranteeInputs from the flags by destination name.
+    names = [f.name for f in fields(GuaranteeInputs)]
+    assert names == ["n", "tau", "mu_max", "s_min", "s_max", "sigma", "beta"]
+    dests = vars(cli._build_parser().parse_args(BOUND_FLAGS)).keys() - {"command", "func"}
+    assert dests == {*names, "alpha", "tight_lambda"}
+
+
 def test_bound_missing_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--n", "2048", "--tau", "4"])
@@ -386,9 +406,23 @@ def test_sweep_key_given_twice_in_one_source_rejected(tmp_path, sweep_config, ca
     assert _one_line_error(capsys) == f"error: {doubled}:{lines + 2}: duplicate key 'tau'"
     argv = ["sweep", "--config", str(sweep_config), "--set", "trials=5", "--set", "trials=6"]
     assert main(argv + ["--out", str(out)]) == 1
-    assert _one_line_error(capsys) == "error: --set gives key 'trials' twice"
+    assert _one_line_error(capsys) == "error: --set: duplicate key 'trials'"
     assert not out.exists()
     assert main(argv[:-2] + ["--out", str(out)]) == 0
+
+
+def test_sweep_item_without_equals_rejected(tmp_path, sweep_config, capsys):
+    # The file and --set share one reader, so one form names where the item was.
+    out = tmp_path / "never.csv"
+    broken = tmp_path / "broken.cfg"
+    broken.write_text(sweep_config.read_text() + "tau 5  # no equals\n")
+    lines = sweep_config.read_text().count("\n")
+    assert main(["sweep", "--config", str(broken), "--out", str(out)]) == 1
+    expected = f"error: {broken}:{lines + 1}: expected key=value, got 'tau 5'"
+    assert _one_line_error(capsys) == expected
+    assert main(_sweep_argv(sweep_config, ["trials"]) + ["--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: --set: expected key=value, got 'trials'"
+    assert not out.exists()
 
 
 def test_sweep_trials_zero_rejected(tmp_path, sweep_config, capsys):
