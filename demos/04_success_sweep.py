@@ -3,7 +3,7 @@
 Sweeps sparsity at m=256 with mild noise, running seeded OMP trials per
 point.  Everything is reproducible from the master seed, and the same
 sweep is available from the command line (shown at the bottom), which
-also writes the CSV and an optional gnuplot script.
+writes it as a CSV.
 """
 
 from ompbounds import ExperimentConfig, run_sweep
@@ -37,7 +37,8 @@ print(
     "\nat this modest n they are loose (the probabilistic bound tightens as n grows)."
 )
 
-# CLI equivalent, CSV plus plot script:
+# CLI equivalent; plot the CSV's empirical_prob, thm1_prob and thm2_prob
+# columns against param_value:
 #   ompbounds sweep --set m=256 --set sweep=tau --set sweep_values=2,4,8,16,24,32 \
 #       --set s_min=0.5 --set s_max=1 --set sigma=0.01 --set trials=400 \
-#       --set beta_draws=2000 --seed 42 --out sweep.csv --plot-script sweep.gp
+#       --set beta_draws=2000 --seed 42 --out sweep.csv

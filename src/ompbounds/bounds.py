@@ -37,16 +37,14 @@ import numpy as np
 
 from .checks import check_magnitudes, check_sigma, require_int, require_real, require_scale
 from .dictionary import Dictionary
+from .omp import _BATCH_BYTES
 from .signals import RngStream
 
 # exp(-x) underflows near 745; switch to log-space accumulation before that.
 _EXP_SWITCH = 700.0
-# unit_correlation_max draws at most _BETA_BATCH noise vectors per
-# correlate_all call, and fewer when m is large: a batch's noise fits in
-# _BETA_BATCH_BYTES and its correlations in twice that.  Two noise slots,
-# one being drawn while the other is correlated, hold twice a batch.
+# unit_correlation_max draws at most _BETA_BATCH noise vectors a batch, and
+# fewer when m is large: two noise slots and the correlations fit _BATCH_BYTES.
 _BETA_BATCH = 256
-_BETA_BATCH_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     """Max over ``draws`` unit-variance noise vectors of ``max_j |<A_j, w>|``.
 
     The noise comes from one generator built from the stream ``rng``, drawn
-    in batches of ``min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 m))`` vectors
+    in batches of ``min(_BETA_BATCH, _BATCH_BYTES // (32 m))`` vectors
     (at least one): 256 at ``m = 64``, 32 at 1024, 8 at 4096.  Drawing and
     correlating overlap: the calling thread draws batch ``i + 1`` into one
     of two noise slots while one helper thread correlates batch ``i`` in
@@ -240,18 +238,21 @@ def unit_correlation_max(d: Dictionary, draws: int, rng: RngStream) -> float:
     slot is refilled only once its batch has been correlated.  The helper
     is joined before this returns or raises, and an exception it raises is
     raised here.  The buffers are allocated once per call and refilled for
-    every batch, so memory stays near ``5 * _BETA_BATCH_BYTES`` whatever
-    ``m`` and ``draws`` are.  The vectors are drawn in one sequence and
+    every batch, so they fit ``_BATCH_BYTES`` whatever ``draws`` is, up to
+    ``m = 2**15``.  The vectors are drawn in one sequence and
     each correlation is computed row by row, so the value does not depend
     on the batch size or on how the two threads interleave.  The estimate
     for noise level ``sigma`` is exactly ``sigma`` times this value, so one
-    pass serves every noise level under the same stream.
+    pass serves every noise level under the same stream.  Another kind of
+    ``rng`` is refused before a draw.
     """
     require_int("draws", draws, 1)
+    if not isinstance(rng, RngStream):
+        raise ValueError(f"rng must be an RngStream, got {type(rng).__name__}")
     # Built before the helper starts: while it runs, only the helper calls
     # into the library, so a per-process span tracer sees one call stack.
     g = rng.generator()
-    rows = max(1, min(_BETA_BATCH, _BETA_BATCH_BYTES // (8 * d.m)))
+    rows = max(1, min(_BETA_BATCH, _BATCH_BYTES // (32 * d.m)))
     batches = -(-draws // rows)
     noise = np.empty((2, rows, d.m))
     corr = np.empty((rows, 2 * d.m))

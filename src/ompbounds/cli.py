@@ -130,26 +130,6 @@ def _sweep_csv(cfg: ExperimentConfig, results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plot_script(csv_path: str, sweep: str) -> str:
-    # gnuplot writes a quote inside a single-quoted string as two quotes.
-    quoted = csv_path.replace("'", "''")
-    return "\n".join(
-        [
-            "# Line plot of sweep results (gnuplot).",
-            "set datafile separator ','",
-            f"set xlabel '{sweep}'",
-            "set ylabel 'probability of support recovery'",
-            "set yrange [-0.05:1.05]",
-            "set key bottom left",
-            f"plot '{quoted}' using 'param_value':'empirical_prob' "
-            "with linespoints title 'empirical', \\",
-            "     '' using 'param_value':'thm1_prob' with linespoints title 'thm1', \\",
-            "     '' using 'param_value':'thm2_prob' with linespoints title 'thm2'",
-            "",
-        ]
-    )
-
-
 def _cmd_coherence(args) -> int:
     d = build_identity_hadamard(args.m)
     return _write_values({"M": d.m, "N": d.n, "mu_max": f"{d.mutual_coherence():.6f}"})
@@ -201,22 +181,12 @@ def _cmd_sweep(args) -> int:
         # The aliases name one knob: an override of either replaces the file's.
         raw = {k: v for k, v in raw.items() if k not in ("sigma", "sigma_sq")}
     cfg = _build_experiment({**raw, **overrides}, args.seed)
-    # Both files are written after the last trial, so their paths are checked
-    # before the first.
-    targets = {"--out": args.out}
-    if args.plot_script is not None:
-        if os.path.realpath(args.plot_script) == os.path.realpath(args.out):
-            raise ValueError(f"--plot-script {args.plot_script!r} is the --out file")
-        targets["--plot-script"] = args.plot_script
-    for flag, path in targets.items():
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise ValueError(f"{flag} {path!r}: no such directory")
-        if os.path.isdir(path):
-            raise ValueError(f"{flag} {path!r} is a directory")
-    results = run_sweep(cfg, workers=args.workers)
-    _write_atomic(args.out, _sweep_csv(cfg, results))
-    if args.plot_script is not None:
-        _write_atomic(args.plot_script, _plot_script(args.out, cfg.sweep))
+    # The CSV is written after the last trial; its path is checked before the first.
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ValueError(f"--out {args.out!r}: no such directory")
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r} is a directory")
+    _write_atomic(args.out, _sweep_csv(cfg, run_sweep(cfg, workers=args.workers)))
     return 0
 
 
@@ -263,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a config key (repeatable)",
     )
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--plot-script", default=None, help="also write a gnuplot script here")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--seed", type=int, default=0, help="master seed (all randomness)")
     p.set_defaults(func=_cmd_sweep)

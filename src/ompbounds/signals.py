@@ -136,11 +136,15 @@ def synthesize(
     noise in its first ``B m`` entries, use this thread's kept memory
     (:func:`~ompbounds.omp.kept_arrays`); the transform's temporaries are
     fresh.  The result is a fresh array, or ``out``, a C-contiguous float64
-    array of its shape, which is checked before any signal is taken.
+    array of its shape.  ``rng`` (not an :class:`RngStream` key) and ``out``
+    are checked before any signal is taken.
     """
     check_sigma(sigma)
     signals = iter([s] if isinstance(s, SparseSignal) else s)
-    rngs = [rng] if isinstance(rng, Generator) else list(rng)
+    rngs = list(rng) if isinstance(rng, Iterable) else [rng]
+    bad = [type(g).__name__ for g in rngs if not isinstance(g, Generator)]
+    if bad:
+        raise ValueError(f"rng must be a numpy Generator or a sequence of them, got {bad[0]}")
     shape = (d.m,) if isinstance(s, SparseSignal) else (len(rngs), d.m)
     if out is None:
         out = np.empty(shape)

@@ -63,7 +63,7 @@ def unit_correlation_max_serial(d, draws, rng):
     calling thread, so the two must agree bit for bit.
     """
     g = rng.generator()
-    rows = max(1, min(bounds._BETA_BATCH, bounds._BETA_BATCH_BYTES // (8 * d.m)))
+    rows = max(1, min(bounds._BETA_BATCH, bounds._BATCH_BYTES // (32 * d.m)))
     noise = np.empty((rows, d.m))
     corr = np.empty((rows, 2 * d.m))
     best = 0.0

@@ -255,6 +255,43 @@ def test_scale_boundaries_share_one_rule(boundary, kind):
         call(value)
 
 
+def _lazy_signals(g, count):
+    return (draw_sparse_signal(g, 16, 2, 0.5, 1.0) for _ in range(count))
+
+
+GENERATORS = "a numpy Generator or a sequence of them"
+# Every rng boundary, given a kind of rng it does not take: (call, with g the
+# generator its signals would be drawn from, the kind it takes, the type it
+# is given).  unit_correlation_max takes a stream key and synthesize the
+# generators that drew its signals; the other kind once failed deep inside
+# as an AttributeError or a TypeError.
+RNG_BOUNDARIES = {
+    "unit_correlation_max_generator": (
+        lambda g: unit_correlation_max(D, 4, g), "an RngStream", "Generator"
+    ),
+    "unit_correlation_max_seed": (lambda g: unit_correlation_max(D, 4, 7), "an RngStream", "int"),
+    "synthesize_stream": (
+        lambda g: synthesize(D, _lazy_signals(g, 1), 0.1, RngStream(0, 1)), GENERATORS, "RngStream"
+    ),
+    "synthesize_streams": (
+        lambda g: synthesize(D, _lazy_signals(g, 2), 0.1, [RngStream(0, 1), RngStream(0, 2)]),
+        GENERATORS, "RngStream",
+    ),
+    "synthesize_seed": (lambda g: synthesize(D, _lazy_signals(g, 1), 0.1, 7), GENERATORS, "int"),
+}
+
+
+@pytest.mark.parametrize("boundary", RNG_BOUNDARIES)
+def test_rng_of_the_wrong_kind_refused_before_a_draw(boundary):
+    call, kind, given = RNG_BOUNDARIES[boundary]
+    g = _gen()
+    state = g.bit_generator.state
+    message = f"rng must be {kind}, got {given}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(g)
+    assert g.bit_generator.state == state
+
+
 def test_alpha_from_beta_refuses_a_ratio_whose_alpha_overflows():
     # beta and sigma each square to a normal float, but beta^2 / (2 sigma^2
     # log n) does not fit a float; alpha = inf once reached thm1_probability,

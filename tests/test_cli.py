@@ -452,33 +452,26 @@ def test_sweep_unwritable_output_leaves_nothing(tmp_path, sweep_config, capsys, 
     calls = _count_omp_calls(monkeypatch)
     (tmp_path / "dir").mkdir()
     unwritable = {"missing-dir/x": ": no such directory", "dir": " is a directory"}
-    for flag in ("--out", "--plot-script"):
-        for name, problem in unwritable.items():
-            paths = {"--out": tmp_path / "r.csv", "--plot-script": tmp_path / "r.gp"}
-            paths[flag] = tmp_path / name
-            argv = ["sweep", "--config", str(sweep_config)]
-            for given, path in paths.items():
-                argv += [given, str(path)]
-            assert main(argv) == 1
-            assert _one_line_error(capsys) == f"error: {flag} {str(paths[flag])!r}{problem}"
+    for name, problem in unwritable.items():
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(sweep_config), "--out", str(out)]) == 1
+        assert _one_line_error(capsys) == f"error: --out {str(out)!r}{problem}"
     assert calls == []
     assert sorted(tmp_path.iterdir()) == [tmp_path / "dir", sweep_config]
     assert list((tmp_path / "dir").iterdir()) == []
 
 
-def test_sweep_plot_script_on_the_out_file_refused(tmp_path, sweep_config, capsys, monkeypatch):
-    # The script once overwrote the CSV it plots, after every trial had run.
+def test_sweep_plot_script_is_a_usage_error(tmp_path, sweep_config, capsys, monkeypatch):
+    # A sweep writes only its CSV: a script that still asks for a plot file
+    # stops on a usage error before any trial runs.
     calls = _count_omp_calls(monkeypatch)
-    out = tmp_path / "r.csv"
-    out.write_text("kept\n")
-    (tmp_path / "link.csv").symlink_to(out)
-    for script in (out, tmp_path / "." / "r.csv", tmp_path / "link.csv"):
-        argv = ["sweep", "--config", str(sweep_config), "--out", str(out)]
-        argv += ["--plot-script", str(script)]
-        assert main(argv) == 1
-        assert _one_line_error(capsys) == f"error: --plot-script {str(script)!r} is the --out file"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--plot-script", str(tmp_path / "r.gp")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
     assert calls == []
-    assert out.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [sweep_config]
 
 
 def test_write_atomic_closes_its_file_when_the_mode_cannot_be_set(tmp_path, monkeypatch):
@@ -518,26 +511,6 @@ def test_sweep_conflicting_sigma_keys(tmp_path, sweep_config, capsys):
     )
     assert code == 1
     assert "not both" in capsys.readouterr().err
-
-
-def test_sweep_plot_script(tmp_path, sweep_config):
-    out = tmp_path / "r.csv"
-    script = tmp_path / "r.gp"
-    assert (
-        main(
-            ["sweep", "--config", str(sweep_config), "--out", str(out),
-             "--plot-script", str(script), "--seed", "1"]
-        )
-        == 0
-    )
-    text = script.read_text()
-    assert os.fspath(out) in text
-    for column in ("param_value", "empirical_prob", "thm1_prob", "thm2_prob"):
-        assert column in text
-
-
-def test_plot_script_quotes_csv_path():
-    assert "plot 'run''s.csv' using" in cli._plot_script("run's.csv", "tau")
 
 
 @pytest.mark.parametrize(
@@ -679,15 +652,14 @@ def test_negative_seed_rejected(tmp_path, sweep_config, capsys, command):
 
 @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
 def test_sweep_outputs_follow_umask(tmp_path, sweep_config, umask):
-    out, script = tmp_path / "r.csv", tmp_path / "r.gp"
-    argv = ["sweep", "--config", str(sweep_config), "--out", str(out), "--plot-script", str(script)]
+    out = tmp_path / "r.csv"
+    argv = ["sweep", "--config", str(sweep_config), "--out", str(out)]
     old = os.umask(umask)
     try:
         assert main(argv) == 0
     finally:
         os.umask(old)
-    for path in (out, script):
-        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_sweep_requires_core_keys(tmp_path, capsys):
