@@ -14,7 +14,7 @@ from .bounds import (
 from .dictionary import Dictionary, build_identity_hadamard, fwht
 from .montecarlo import ExperimentConfig, SweepResult, count_successes, run_point, run_sweep, thm1
 from .omp import OmpResult, SingularSystemError, omp, support_match
-from .signals import RngStream, SparseSignal, draw_sparse_signal, draw_support, synthesize
+from .signals import RngStream, SparseSignal, draw_sparse_signal, synthesize
 
 __all__ = [
     "AlphaBeta",
@@ -32,7 +32,6 @@ __all__ = [
     "build_identity_hadamard",
     "count_successes",
     "draw_sparse_signal",
-    "draw_support",
     "fwht",
     "omp",
     "run_point",

@@ -24,9 +24,9 @@ of the paper's Lemma 1, the tail of ``|<A_j, A s + w>|`` at ``xi = s_min/2``,
 which is ``bernstein_tail(xi - beta, ...)``: ``error_ub`` is N times that
 tail, ``p2``, before its clamp.  ``beta`` itself is measured empirically in
 the worst case, as the maximum of ``|<A_j, w>|`` over many noise draws.
-Real inputs pass ``checks.require_real``, ``sigma`` and ``beta`` through
-``checks.require_scale``, and ``n``, ``tau``, ``n_terms`` and ``draws``
-pass ``checks.require_int``.
+Real inputs pass ``checks.require_real``, and ``sigma``, ``beta``, ``s_min``
+and ``s_max`` also ``checks.require_scale``; ``n``, ``tau``, ``n_terms`` and
+``draws`` pass ``checks.require_int``.
 """
 
 import math

@@ -2,10 +2,10 @@
 
 Every public boundary states the rules of its inputs with these helpers:
 ``require_int`` for a count, size, index or seed, ``require_real`` for a
-real parameter (``require_scale`` for ``sigma`` and ``beta``), and
-``check_magnitudes``, ``check_sigma``, ``check_m`` and ``check_out`` for the
-rules that several boundaries share.  Each raises ``ValueError`` with a one-line
-message that names the input.
+real parameter (``require_scale`` for one that the bounds square), and
+``check_magnitudes``, ``check_sigma``, ``check_m``, ``check_out`` and
+``check_measurement`` for shared rules.  Each raises ``ValueError`` with a
+one-line message that names the input.
 """
 
 import math
@@ -71,9 +71,9 @@ def require_scale(name: str, value, *, gt=None, ge=None) -> None:
 
 
 def check_magnitudes(s_min: float, s_max: float) -> None:
-    """Raise ``ValueError`` unless ``0 < s_min <= s_max``."""
-    require_real("s_min", s_min, gt=0)
-    require_real("s_max", s_max, ge=s_min)
+    """Raise ``ValueError`` unless ``0 < s_min <= s_max``, each a scale: the bounds square both."""
+    require_scale("s_min", s_min, gt=0)
+    require_scale("s_max", s_max, ge=s_min)
 
 
 def check_sigma(sigma: float) -> None:
@@ -96,3 +96,13 @@ def check_out(out, shape: tuple[int, ...]) -> None:
     """
     if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+
+
+def check_measurement(y: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``y``'s entries and each row's squared norm are finite."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.einsum("...i,...i", y, y)).all():
+            return
+    if not np.isfinite(y).all():
+        raise ValueError("measurement y must be finite, got a NaN or infinite entry")
+    raise ValueError("measurement y must have a finite squared norm in every row, got inf")

@@ -156,23 +156,14 @@ def _count_successes(
     of a singular trial, the first in trial order.
     """
     streams = [RngStream(master_seed, t).generator() for t in range(t_lo, t_hi)]
-    supports = []
-
-    def signals():
-        # Drawn as synthesize stacks them: of each signal only its support
-        # outlives its row of the stack.
-        for g in streams:
-            signal = draw_sparse_signal(g, d.n, tau, s_min, s_max)
-            supports.append(signal.support)
-            yield signal
-
+    signals = [draw_sparse_signal(g, d.n, tau, s_min, s_max) for g in streams]
     (observed,) = kept_arrays("observed", [(len(streams), d.m)])
-    synthesize(d, signals(), sigma, streams, out=observed)
+    synthesize(d, signals, sigma, streams, out=observed)
     try:
         result = omp(d, observed, tau)
     except SingularSystemError as err:
         raise SingularSystemError(err.iteration, t_lo + err.row, master_seed, param_value) from err
-    return sum(map(support_match, result.support, supports))
+    return sum(support_match(found, x.support) for found, x in zip(result.support, signals))
 
 
 def count_successes(

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .checks import require_int
+from .checks import check_measurement, require_int
 from .dictionary import Dictionary
 
 # A candidate atom whose squared distance to the active span, the Gram
@@ -147,18 +147,17 @@ def omp(d: Dictionary, y: np.ndarray, tau: int) -> OmpResult:
     result is a view of these arrays.
 
     Results have the batch shape of ``y``: ``(tau,)`` or ``(B, tau)``.
-    Raises ``ValueError`` for a ``y`` of another shape or with a NaN or
-    infinite entry, and for a ``tau`` that is not an integer in
-    ``[1, min(m, n)]`` (a bool or a float is refused).  A row whose pivot
-    falls below ``PIVOT_TOL`` is frozen; after the last iteration
-    ``SingularSystemError`` names the lowest such row's iteration, and for
-    a batch the ``row``.
+    Raises ``ValueError`` for a ``y`` of another shape, with a NaN or
+    infinite entry or with a row whose squared norm overflows, and for a
+    ``tau`` that is not an integer in ``[1, min(m, n)]`` (a bool or a float
+    is refused).  A row whose pivot falls below ``PIVOT_TOL`` is frozen;
+    after the last iteration ``SingularSystemError`` names the lowest such
+    row's iteration, and for a batch the ``row``.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != d.m or y.size == 0:
         raise ValueError(f"measurement shape {y.shape} is neither ({d.m},) nor (B, {d.m})")
-    if not np.isfinite(y).all():
-        raise ValueError("measurement y must be finite, got a NaN or infinite entry")
+    check_measurement(y)
     require_int("tau", tau, 1, min(d.m, d.n))
 
     ys = y.reshape(-1, d.m)

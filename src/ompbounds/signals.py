@@ -82,27 +82,18 @@ class SparseSignal:
             raise ValueError("on-support magnitude outside [s_min, s_max]")
 
 
-def draw_support(rng: Generator, n: int, tau: int) -> np.ndarray:
-    """First ``tau`` indices of a uniform random permutation of ``0..n-1``.
-
-    Every size-``tau`` subset is equally likely; ``n >= 0`` and ``tau`` in
-    ``[0, n]`` are integers.
-    """
-    require_int("n", n, 0)
-    require_int("tau", tau, 0, n)
-    return rng.permutation(n)[:tau]
-
-
 def draw_sparse_signal(rng: Generator, n: int, tau: int, s_min: float, s_max: float) -> SparseSignal:
     """Draw a sparse signal: uniform support, uniform magnitudes, random signs.
 
-    Draw order is fixed (support, then magnitudes, then signs) so a given
-    generator state always produces the same signal.  The result satisfies
-    every check of :class:`SparseSignal` by construction, so it is built
-    without running them again.
+    The support is the first ``tau`` of a uniform permutation of ``0..n-1``,
+    for integers ``n >= 0`` and ``tau`` in ``[0, n]``.  Draw order is fixed
+    (support, magnitudes, signs), so a generator state gives one signal, and
+    it passes every check of :class:`SparseSignal`, which it skips.
     """
     check_magnitudes(s_min, s_max)
-    support = draw_support(rng, n, tau)
+    require_int("n", n, 0)
+    require_int("tau", tau, 0, n)
+    support = rng.permutation(n)[:tau]
     magnitudes = rng.uniform(s_min, s_max, size=tau)
     signs = 2.0 * rng.integers(0, 2, size=tau) - 1.0
     values = np.zeros(n)
@@ -122,13 +113,13 @@ def synthesize(
     """The measurement ``A @ s + w`` with ``w ~ N(0, sigma^2 I)``: ``(m,)``, or ``(B, m)``.
 
     ``s`` is one :class:`SparseSignal` and ``rng`` its generator, or ``s`` is
-    an iterable of ``B`` signals and ``rng`` one generator for each; then the
-    result is a ``(B, m)`` block, a row per signal.  The signals are taken
-    one at a time into one stack of coefficients, which goes through one
+    an iterable of ``B`` signals, listed once, and ``rng`` one generator for
+    each; then the result is a ``(B, m)`` block, a row per signal.  The
+    signals' coefficients go into one stack, which goes through one
     :meth:`Dictionary.matvec`; then each noise vector is drawn from its own
     generator.  So each generator's draws come in the order they would
-    alone, a lazily drawn signal is kept only until it is stacked, and row
-    ``i`` has the bits of signal ``i`` and generator ``i`` alone.
+    alone, and row ``i`` has the bits of signal ``i`` and generator ``i``
+    alone.
 
     The noise is drawn at unit variance and scaled by ``sigma`` afterwards,
     so from a fixed generator state the noise vector for ``sigma=c`` is
@@ -137,10 +128,9 @@ def synthesize(
     (:func:`~ompbounds.omp.kept_arrays`); the transform's temporaries are
     fresh.  The result is a fresh array, or ``out``, a C-contiguous float64
     array of its shape.  ``rng`` (not an :class:`RngStream` key) and ``out``
-    are checked before any signal is taken.
+    are checked before the signals are listed.
     """
     check_sigma(sigma)
-    signals = iter([s] if isinstance(s, SparseSignal) else s)
     rngs = list(rng) if isinstance(rng, Iterable) else [rng]
     bad = [type(g).__name__ for g in rngs if not isinstance(g, Generator)]
     if bad:
@@ -150,16 +140,14 @@ def synthesize(
         out = np.empty(shape)
     else:
         check_out(out, shape)
+    signals = [s] if isinstance(s, SparseSignal) else list(s)
+    if len(signals) != len(rngs):
+        raise ValueError(f"{len(signals)} signals need as many generators, got {len(rngs)}")
     (coefficients,) = kept_arrays("coefficients", [(len(rngs), d.n)])
-    rows = 0
     for row, x in zip(coefficients, signals):
         if len(x.values) != d.n:
             raise ValueError(f"signal length {len(x.values)} != dictionary n={d.n}")
         row[:] = x.values
-        rows += 1
-    given = rows + sum(1 for _ in signals)
-    if given != len(rngs):
-        raise ValueError(f"{given} signals need as many generators, got {len(rngs)}")
     observed = d.matvec(coefficients, out=out.reshape(-1, d.m))
     # The stack is spent: the noise goes in its first B m entries.
     noise = coefficients.reshape(-1)[: observed.size].reshape(observed.shape)

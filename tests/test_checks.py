@@ -18,7 +18,6 @@ from ompbounds import (
     build_identity_hadamard,
     count_successes,
     draw_sparse_signal,
-    draw_support,
     omp,
     run_point,
     run_sweep,
@@ -87,9 +86,11 @@ BOUNDARIES = {
     # numpy took True as seed 1 and refused -1 and 1.0 without naming the field.
     "rng_stream_master_seed": (lambda v: RngStream(v, 0), "master_seed", 0, None, -1),
     "rng_stream_stream_id": (lambda v: RngStream(0, v), "stream_id", 0, None, -1),
-    "draw_support_n": (lambda v: draw_support(RngStream(0, 1).generator(), v, 0), "n", 0, None, -1),
-    "draw_support_tau": (
-        lambda v: draw_support(RngStream(0, 1).generator(), 16, v), "tau", 0, 16, 17
+    "draw_sparse_signal_n": (
+        lambda v: draw_sparse_signal(RngStream(0, 1).generator(), v, 0, 0.5, 1.0), "n", 0, None, -1
+    ),
+    "draw_sparse_signal_tau": (
+        lambda v: draw_sparse_signal(RngStream(0, 1).generator(), 16, v, 0.5, 1.0), "tau", 0, 16, 17
     ),
     "unit_correlation_max_draws": (
         lambda v: unit_correlation_max(D, v, RngStream(0, 0)), "draws", 1, None, 0
@@ -208,9 +209,21 @@ def test_real_boundaries_share_one_rule(boundary, kind):
         call(value)
 
 
-# Every sigma and beta boundary, where the value is squared: (call with the
-# value, name).
+SMALLEST, LARGEST = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+# Every boundary of sigma, beta and the magnitudes, where the value is
+# squared: (call with the value, name).  Each s_min is given the largest
+# s_max, and each s_max the smallest s_min.
 SCALE_BOUNDARIES = {
+    "guarantee_s_min": (lambda v: _inputs(s_min=v, s_max=LARGEST), "s_min"),
+    "guarantee_s_max": (lambda v: _inputs(s_min=SMALLEST, s_max=v), "s_max"),
+    "config_swept_s_min": (lambda v: _config(sweep_values=(v,), s_max=LARGEST), "s_min"),
+    "config_s_max": (
+        lambda v: _config(s_min=SMALLEST, sweep_values=(SMALLEST,), s_max=v), "s_max"
+    ),
+    "draw_sparse_signal_s_max": (
+        lambda v: draw_sparse_signal(_gen(), 16, 2, SMALLEST, v), "s_max"
+    ),
     "guarantee_sigma": (lambda v: _inputs(sigma=v), "sigma"),
     "guarantee_beta": (lambda v: _inputs(beta=v), "beta"),
     "config_sigma": (lambda v: _config(sigma=v), "sigma"),
@@ -232,25 +245,28 @@ SCALE_BOUNDARIES = {
 )
 @pytest.mark.parametrize("boundary", SCALE_BOUNDARIES)
 def test_scale_boundaries_share_one_rule(boundary, kind):
-    # sigma and beta enter the bounds squared: 2 sigma^2 underflowed to a
-    # ZeroDivisionError at 1e-300, beta^2 overflowed at 1e200, and a
-    # subnormal square at 1e-160 gave thm1_prob=0.9994997481538116 where
-    # every normal sigma with the same beta/sigma gives 0.9994997241638214.
+    # sigma, beta and the magnitudes enter the bounds squared: 2 sigma^2
+    # underflowed to a ZeroDivisionError at 1e-300, beta^2 and s_max^2
+    # overflowed at 1e200, and a subnormal square at 1e-160 gave
+    # thm1_prob=0.9994997481538116 where every normal sigma with the same
+    # beta/sigma gives 0.9994997241638214.
     call, name = SCALE_BOUNDARIES[boundary]
-    smallest, largest = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
     if (boundary, kind) == ("estimate_beta_sigma", "largest"):
         # sigma passes, and the beta it gives, a few times sigma, is refused.
         with pytest.raises(ValueError, match="^beta must square to a normal float"):
-            call(largest)
+            call(LARGEST)
         return
     if kind in ("smallest", "largest"):
-        call(smallest if kind == "smallest" else largest)  # accepted: its square is normal
+        call(SMALLEST if kind == "smallest" else LARGEST)  # accepted: its square is normal
         return
     value = {"underflow": 1e-300, "subnormal_square": 1e-160, "overflow": 1e200}[kind]
     message = (
         f"{name} must square to a normal float: when positive, in "
         f"[1.492e-154, 1.341e+154], got {value!r}"
     )
+    if name == "s_max" and value < SMALLEST:
+        # s_max >= s_min, and the smallest s_min squares to a normal float.
+        message = f"s_max must be a finite real >= {SMALLEST!r}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
@@ -296,10 +312,9 @@ def test_alpha_from_beta_refuses_a_ratio_whose_alpha_overflows():
     # beta and sigma each square to a normal float, but beta^2 / (2 sigma^2
     # log n) does not fit a float; alpha = inf once reached thm1_probability,
     # which refused it by a name the caller never set.
-    largest = math.sqrt(sys.float_info.max)
     message = (
-        f"beta^2 / (2 sigma^2 log n) at beta={largest!r}, sigma=0.01 "
+        f"beta^2 / (2 sigma^2 log n) at beta={LARGEST!r}, sigma=0.01 "
         "must be a finite real, got inf"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        alpha_from_beta(largest, 0.01, 16)
+        alpha_from_beta(LARGEST, 0.01, 16)

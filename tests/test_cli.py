@@ -553,6 +553,11 @@ SCALE_REFUSALS = {
     ),
     "sweep_sigma_underflow": (_sweep_sigma_at("1e-300"), "sigma", 1e-300),
     "sweep_sigma_subnormal_square": (_sweep_sigma_at("1e-160"), "sigma", 1e-160),
+    "bound_s_max_overflow": (lambda c, o: _bound_with("--s-max", "1e200"), "s_max", 1e200),
+    "sweep_s_max_overflow": (
+        lambda c, o: ["sweep", "--config", str(c), "--out", str(o), "--set", "s_max=1e200"],
+        "s_max", 1e200,
+    ),
 }
 
 
@@ -571,6 +576,23 @@ def test_sigma_and_beta_without_a_normal_square_are_one_line(
     assert _one_line_error(capsys) == (
         f"error: {name} must square to a normal float: when positive, in "
         f"[1.492e-154, 1.341e+154], got {value!r}"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_measurement_whose_squared_norm_overflows_is_one_line(tmp_path, capsys):
+    # sigma = 1e153 and the beta it gives pass their rules, but at m = 1024
+    # a noise row's squared norm does not fit a float: the sweep once warned
+    # of an overflow in omp, wrote a CSV and exited 0.
+    out = tmp_path / "never.csv"
+    argv = ["sweep", "--out", str(out)]
+    for item in ["m=1024", "sweep=tau", "sweep_values=2,4", "tau=2", "s_min=0.5", "s_max=1",
+                 "sigma=1e153", "trials=20", "beta_draws=100"]:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == (
+        "error: measurement y must have a finite squared norm in every row, got inf"
     )
     assert not out.exists()
 

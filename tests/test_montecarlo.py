@@ -283,6 +283,16 @@ def test_sweep_refuses_a_point_beta_before_its_trials(monkeypatch, workers):
         assert sum(rows) < 2 * cfg.trials
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_count_refuses_a_measurement_whose_squared_norm_overflows():
+    # sigma = 1e153 passes the scale rule, but at m = 1024 a noise row's
+    # squared norm, about 1e309, does not fit a float: omp once warned of an
+    # overflow in its residual norm and counted trials from inf norms.
+    message = "^measurement y must have a finite squared norm in every row, got inf$"
+    with pytest.raises(ValueError, match=message):
+        count_successes(build_identity_hadamard(1024), 2, 0.5, 1.0, 1e153, 20, 0)
+
+
 def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
     # Two workers run on a one-CPU host, and no CPU count changes the chunks,
     # so none changes the rows that each lockstep omp call solves.

@@ -92,6 +92,20 @@ def test_non_finite_measurement_rejected(bad):
         omp(build_identity_hadamard(16), y, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measurement_whose_squared_norm_overflows_rejected():
+    # Every entry is finite, but the second row's squared norm is not: omp
+    # once warned of an overflow in its residual norm and returned inf.
+    y = np.ones((2, 16))
+    y[1] = 1e154
+    message = "^measurement y must have a finite squared norm in every row, got inf$"
+    with pytest.raises(ValueError, match=message):
+        omp(build_identity_hadamard(16), y, 3)
+    y[1] = 0.0
+    y[1, 5] = 1e154  # a squared norm of 1e308 fits
+    omp(build_identity_hadamard(16), y, 3)
+
+
 @pytest.mark.parametrize("tau", [2.5, 3.0, True, "3"], ids=repr)
 def test_tau_must_be_an_integer(tau):
     with pytest.raises(ValueError, match="tau must be an integer"):

@@ -14,7 +14,6 @@ from ompbounds import (
     SparseSignal,
     build_identity_hadamard,
     draw_sparse_signal,
-    draw_support,
     synthesize,
 )
 
@@ -26,6 +25,10 @@ def _zero_signal(n: int) -> SparseSignal:
     return SparseSignal(
         values=np.zeros(n), support=np.array([], dtype=np.int64), s_min=1.0, s_max=1.0
     )
+
+
+def _support(g, n: int, tau: int) -> np.ndarray:
+    return draw_sparse_signal(g, n, tau, 0.5, 1.0).support
 
 
 def test_stream_reproducibility_bit_for_bit():
@@ -41,19 +44,19 @@ def test_stream_reproducibility_bit_for_bit():
 
 
 def test_distinct_streams_differ():
-    a = draw_support(RngStream(77, 1).generator(), 100, 10)
-    b = draw_support(RngStream(77, 2).generator(), 100, 10)
-    c = draw_support(RngStream(78, 1).generator(), 100, 10)
+    a = _support(RngStream(77, 1).generator(), 100, 10)
+    b = _support(RngStream(77, 2).generator(), 100, 10)
+    c = _support(RngStream(78, 1).generator(), 100, 10)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_draw_support_edges():
-    assert draw_support(RngStream(0, 0).generator(), 5, 0).size == 0
-    full = draw_support(RngStream(0, 0).generator(), 5, 5)
+    assert _support(RngStream(0, 0).generator(), 5, 0).size == 0
+    full = _support(RngStream(0, 0).generator(), 5, 5)
     assert sorted(full.tolist()) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
-        draw_support(RngStream(0, 0).generator(), 5, 6)
+        _support(RngStream(0, 0).generator(), 5, 6)
 
 
 def test_draw_support_uniform_over_pairs():
@@ -62,7 +65,7 @@ def test_draw_support_uniform_over_pairs():
     g = RngStream(2024, 3).generator()
     counts = {frozenset(pair): 0 for pair in combinations(range(6), 2)}
     for _ in range(n_draws):
-        counts[frozenset(draw_support(g, 6, 2).tolist())] += 1
+        counts[frozenset(_support(g, 6, 2).tolist())] += 1
     for pair, cnt in counts.items():
         assert abs(cnt / n_draws - 1 / 15) < 0.01, pair
 
@@ -295,9 +298,9 @@ def _synthesized(d, batch, seed=9, tau=3):
 
 
 def test_signals_drawn_as_they_are_stacked_equal_a_list():
-    # A sweep chunk hands synthesize a generator that draws each trial's
-    # signal when its row is stacked; each stream still draws its signal
-    # before its noise.
+    # synthesize lists any iterable of signals once, before it stacks them,
+    # so signals that a generator draws lazily give the bits of a list: each
+    # stream still draws its signal before its noise.
     d = build_identity_hadamard(64)
     streams, signals = _chunk(d, 7)
     want = synthesize(d, signals, 0.05, streams)
