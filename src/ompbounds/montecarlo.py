@@ -13,10 +13,11 @@ degree of parallelism.  The worst-case ``beta`` estimate runs on
 ``(master_seed, 0)``, which no trial stream can equal, so ``beta_draws``
 never shifts the trials.
 
-A point's trials are cut once, alike on any host, into chunks that each
-draw their trials in order, synthesize them in one stacked transform and
-solve them in one lockstep ``omp`` call; a row's result does not depend on
-its batch, so neither does a count.
+A point's trials are cut once, alike on any host, into chunks, each drawn
+by :func:`draw_chunk`, the one draw of a sweep's trials, and solved in one
+lockstep ``omp`` call.  A row's result does not depend on its batch, so
+neither does a count, and ``draw_chunk`` from ``t`` to ``t + 1`` replays
+trial ``t`` alone.
 
 A sweep is one ordered task list, the ``beta`` pass and then every point's
 trial chunks; results are taken in that order.  One worker runs each task
@@ -44,7 +45,7 @@ from .bounds import (
     thm2_bound,
     unit_correlation_max,
 )
-from .checks import check_m, check_magnitudes, check_sigma, require_int
+from .checks import check_m, check_magnitudes, check_measurement, check_sigma, require_int
 from .dictionary import Dictionary, build_identity_hadamard
 from .omp import SingularSystemError, batch_rows, kept_arrays, omp, support_match
 from .signals import RngStream, draw_sparse_signal, synthesize
@@ -136,6 +137,33 @@ def _chunks(d: Dictionary, tau: int, trials: int) -> list[tuple[int, int]]:
     return list(pairwise(1 + i * trials // n_chunks for i in range(n_chunks + 1)))
 
 
+def draw_chunk(
+    d: Dictionary,
+    tau: int,
+    s_min: float,
+    s_max: float,
+    sigma: float,
+    master_seed: int,
+    t_lo: int,
+    t_hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials ``t_lo..t_hi-1``'s ``(B, m)`` measurement block and ``(B, tau)`` planted supports.
+
+    The one draw of a sweep's trials.  Trial ``t`` draws its signal, then its
+    noise, from stream ``(master_seed, t)``, so a range of one replays it
+    alone.  The block is synthesized in one stacked :func:`synthesize` into
+    this thread's kept ``"observed"`` block (:func:`~ompbounds.omp.kept_arrays`):
+    the thread's next draw overwrites it, so a caller that keeps it copies it.
+    """
+    require_int("t_lo", t_lo, 1)
+    require_int("t_hi", t_hi, t_lo + 1)
+    streams = [RngStream(master_seed, t).generator() for t in range(t_lo, t_hi)]
+    signals = [draw_sparse_signal(g, d.n, tau, s_min, s_max) for g in streams]
+    (observed,) = kept_arrays("observed", [(len(streams), d.m)])
+    synthesize(d, signals, sigma, streams, out=observed)
+    return observed, np.stack([x.support for x in signals])
+
+
 def _count_successes(
     d: Dictionary,
     tau: int,
@@ -147,23 +175,25 @@ def _count_successes(
     t_hi: int,
     param_value: float,
 ) -> int:
-    """Successes over trials ``t_lo..t_hi-1``, each on its own stream, in one ``omp`` call.
+    """Successes over trials ``t_lo..t_hi-1``: one :func:`draw_chunk`, one ``omp`` call.
 
-    Each trial draws its signal and then its noise from its own stream; the
-    chunk is synthesized in one stacked :func:`synthesize` into this
-    thread's kept block of measurements (:func:`~ompbounds.omp.kept_arrays`),
-    which goes to ``omp`` as it is.  ``param_value`` only labels the error
-    of a singular trial, the first in trial order.
+    ``param_value`` only labels the error of a singular trial or a refused
+    measurement, the first in trial order.
     """
-    streams = [RngStream(master_seed, t).generator() for t in range(t_lo, t_hi)]
-    signals = [draw_sparse_signal(g, d.n, tau, s_min, s_max) for g in streams]
-    (observed,) = kept_arrays("observed", [(len(streams), d.m)])
-    synthesize(d, signals, sigma, streams, out=observed)
+    observed, supports = draw_chunk(d, tau, s_min, s_max, sigma, master_seed, t_lo, t_hi)
     try:
         result = omp(d, observed, tau)
     except SingularSystemError as err:
         raise SingularSystemError(err.iteration, t_lo + err.row, master_seed, param_value) from err
-    return sum(support_match(found, x.support) for found, x in zip(result.support, signals))
+    except ValueError as err:
+        for t, y in enumerate(observed, t_lo):
+            try:
+                check_measurement(y)
+            except ValueError as refusal:
+                where = f"sweep value {param_value!r}, trial {t} on stream ({master_seed}, {t})"
+                raise ValueError(f"{where}: {refusal}") from err
+        raise
+    return sum(support_match(found, planted) for found, planted in zip(result.support, supports))
 
 
 def count_successes(
@@ -180,9 +210,10 @@ def count_successes(
     """Number of trials ``1..trials`` under ``master_seed`` that recover the support.
 
     The trials run here in a sweep's chunks, its floor of ``_CHUNKS``
-    included, so both make the same ``omp`` calls.  A singular one raises
-    :class:`SingularSystemError` naming ``param_value``, the trial and its
-    stream; the first such trial in trial order is the one reported.
+    included, each drawn by :func:`draw_chunk`, so both make the same
+    ``omp`` calls.  A singular trial (:class:`SingularSystemError`) or a
+    refused measurement (``ValueError``), the first in trial order, names
+    ``param_value``, the trial and its stream, which :func:`draw_chunk` replays.
     """
     require_int("tau", tau, 1, d.m)
     require_int("trials", trials, 1)

@@ -49,7 +49,8 @@ class SingularSystemError(RuntimeError):
 
     ``omp`` on a batch names the ``row``.  A Monte Carlo point also names
     where: the sweep value ``param_value`` and the trial, which replays
-    alone on stream ``(seed, trial)``.
+    alone on stream ``(seed, trial)``: ``montecarlo.draw_chunk`` with
+    ``seed``, ``trial`` and ``trial + 1`` draws it again for ``omp``.
     """
 
     def __init__(

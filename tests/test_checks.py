@@ -28,6 +28,7 @@ from ompbounds import (
     unit_correlation_max,
 )
 from ompbounds import cli
+from ompbounds.montecarlo import draw_chunk
 
 D = build_identity_hadamard(8)
 
@@ -98,6 +99,10 @@ BOUNDARIES = {
     "estimate_beta_draws": (lambda v: _estimate_beta(draws=v), "draws", 1, None, 0),
     "alpha_from_beta_n": (lambda v: alpha_from_beta(0.1, 0.01, v), "n", 2, None, 1),
     "bernstein_tail_n_terms": (lambda v: bernstein_tail(0.1, v, 0.1, 0.1), "n_terms", 0, None, -1),
+    # Trials are numbered from 1, and a range [t_lo, t_hi) is never empty:
+    # an empty or reversed one once reached omp as a (0, m) block.
+    "draw_chunk_t_lo": (lambda v: draw_chunk(D, 2, 0.5, 1.0, 0.01, 0, v, 5), "t_lo", 1, None, 0),
+    "draw_chunk_t_hi": (lambda v: draw_chunk(D, 2, 0.5, 1.0, 0.01, 0, 3, v), "t_hi", 4, None, 3),
 }
 
 

@@ -584,17 +584,21 @@ def test_sigma_and_beta_without_a_normal_square_are_one_line(
 def test_sweep_measurement_whose_squared_norm_overflows_is_one_line(tmp_path, capsys):
     # sigma = 1e153 and the beta it gives pass their rules, but at m = 1024
     # a noise row's squared norm does not fit a float: the sweep once warned
-    # of an overflow in omp, wrote a CSV and exited 0.
+    # of an overflow in omp, wrote a CSV and exited 0.  The refusal once
+    # named neither the sweep value nor the trial.
     out = tmp_path / "never.csv"
-    argv = ["sweep", "--out", str(out)]
-    for item in ["m=1024", "sweep=tau", "sweep_values=2,4", "tau=2", "s_min=0.5", "s_max=1",
-                 "sigma=1e153", "trials=20", "beta_draws=100"]:
-        argv += ["--set", item]
-    assert main(argv) == 1
-    assert _one_line_error(capsys) == (
-        "error: measurement y must have a finite squared norm in every row, got inf"
-    )
-    assert not out.exists()
+    seed = _point_master_seed(0, 0)
+    for workers in (1, 2):
+        argv = ["sweep", "--out", str(out), "--workers", str(workers)]
+        for item in ["m=1024", "sweep=tau", "sweep_values=2,4", "tau=2", "s_min=0.5", "s_max=1",
+                     "sigma=1e153", "trials=20", "beta_draws=100"]:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert _one_line_error(capsys) == (
+            f"error: sweep value 2.0, trial 1 on stream ({seed}, 1): "
+            "measurement y must have a finite squared norm in every row, got inf"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,15 @@ from ompbounds import (
     Dictionary,
     ExperimentConfig,
     GuaranteeInputs,
+    RngStream,
     SingularSystemError,
     build_identity_hadamard,
     count_successes,
+    draw_sparse_signal,
+    omp,
     run_point,
     run_sweep,
+    synthesize,
 )
 from ompbounds import cli, montecarlo
 from oracles import DenseDictionary
@@ -287,10 +291,18 @@ def test_sweep_refuses_a_point_beta_before_its_trials(monkeypatch, workers):
 def test_count_refuses_a_measurement_whose_squared_norm_overflows():
     # sigma = 1e153 passes the scale rule, but at m = 1024 a noise row's
     # squared norm, about 1e309, does not fit a float: omp once warned of an
-    # overflow in its residual norm and counted trials from inf norms.
-    message = "^measurement y must have a finite squared norm in every row, got inf$"
-    with pytest.raises(ValueError, match=message):
-        count_successes(build_identity_hadamard(1024), 2, 0.5, 1.0, 1e153, 20, 0)
+    # overflow in its residual norm and counted trials from inf norms.  The
+    # refusal names the first refused trial in trial order and its stream:
+    # at 4e152 only trial 12's squared norm, 1.024 times the largest float,
+    # overflows, in the third of five chunks.
+    d = build_identity_hadamard(1024)
+    for sigma, param_value, trial in [(1e153, math.nan, 1), (4e152, 3.5, 12)]:
+        message = (
+            f"sweep value {param_value!r}, trial {trial} on stream (0, {trial}): "
+            "measurement y must have a finite squared norm in every row, got inf"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count_successes(d, 2, 0.5, 1.0, sigma, 20, 0, param_value=param_value)
 
 
 def test_sweep_schedule_is_the_same_on_every_host(monkeypatch):
@@ -358,6 +370,53 @@ def test_one_cut_where_the_row_cap_binds(monkeypatch):
     calls.clear()
     assert count_successes(d, 2, 0.5, 1.0, 0.05, 40, 3) == alone
     assert calls == [[(2, r)] for r in (6, 7, 7, 6, 7, 7)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_chunk_draw_equals_the_trials_drawn_alone(monkeypatch, sigma):
+    # Under this cap a 40-trial point at tau = 2 is cut into 6 chunks, as in
+    # test_one_cut_where_the_row_cap_binds.  Each chunk's block and supports
+    # have the bits of its trials drawn one at a time on their own streams,
+    # and a chunk drawn as two halves gives the same rows.
+    d = build_identity_hadamard(64)
+    monkeypatch.setattr(omp_module, "_BATCH_BYTES", 7 * 8 * (3 * d.n + 2 * 2))
+    chunks = montecarlo._chunks(d, 2, 40)
+    assert len(chunks) == 6
+
+    def draw(lo, hi):
+        # Copied as drawn: the thread's next draw overwrites the block.
+        block, supports = montecarlo.draw_chunk(d, 2, 0.5, 1.0, sigma, 3, lo, hi)
+        return block.copy(), supports
+
+    for lo, hi in chunks:
+        block, supports = draw(lo, hi)
+        assert block.shape == (hi - lo, d.m) and supports.shape == (hi - lo, 2)
+        for row, t in enumerate(range(lo, hi)):
+            g = RngStream(3, t).generator()
+            x = draw_sparse_signal(g, d.n, 2, 0.5, 1.0)
+            assert np.array_equal(block[row], synthesize(d, x, sigma, g))
+            assert supports.dtype == x.support.dtype
+            assert np.array_equal(supports[row], x.support)
+        mid = (lo + hi) // 2
+        halves = [draw(lo, mid), draw(mid, hi)]
+        assert np.array_equal(np.concatenate([b for b, _ in halves]), block)
+        assert np.array_equal(np.concatenate([s for _, s in halves]), supports)
+
+
+def test_singular_trial_replays_alone():
+    # The singular sweeps of test_cli name point 0's trial 18 at m = 4; drawn
+    # alone from the stream that the error names, it is singular at the same
+    # iteration, with the support that it planted.
+    seed = montecarlo._point_master_seed(0, 0)
+    d = build_identity_hadamard(4)
+    block, supports = montecarlo.draw_chunk(d, 4, 0.5, 1.0, 0.0, seed, 18, 19)
+    assert supports.shape == (1, 4) and set(supports[0].tolist()) == {0, 1, 5, 7}
+    with pytest.raises(SingularSystemError) as exc:
+        omp(d, block, 4)
+    assert (exc.value.iteration, exc.value.row) == (4, 0)
+    with pytest.raises(SingularSystemError) as exc:
+        count_successes(d, 4, 0.5, 1.0, 0.0, 18, seed)
+    assert (exc.value.iteration, exc.value.trial) == (4, 18)
 
 
 @pytest.mark.parametrize(

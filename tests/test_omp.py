@@ -22,7 +22,7 @@ from ompbounds import (
     support_match,
     synthesize,
 )
-from ompbounds.montecarlo import _point_master_seed
+from ompbounds.montecarlo import _point_master_seed, draw_chunk
 from oracles import DenseDictionary, exhaustive_l0, omp_direct, omp_qr
 
 # ompbounds.omp is the solver function; the module holds each thread's
@@ -186,12 +186,7 @@ def test_omp_agrees_with_qr_oracle_at_m4096():
 
 def _trial_rows(d, tau, sigma, rows):
     """The measurements of a sweep's first point's trials ``1..rows``, one a row."""
-    ys = []
-    for t in range(1, rows + 1):
-        g = RngStream(_point_master_seed(0, 0), t).generator()
-        s = draw_sparse_signal(g, d.n, tau, 0.5, 1.0)
-        ys.append(synthesize(d, s, sigma, g))
-    return np.array(ys)
+    return draw_chunk(d, tau, 0.5, 1.0, sigma, _point_master_seed(0, 0), 1, rows + 1)[0].copy()
 
 
 def _solved_alone(d, y, tau):
